@@ -1031,7 +1031,16 @@ impl<'a> Flow<'a> {
         let area_con = area_con.unwrap_or_else(|| ctx.area_ori());
         obs.on_event(&FlowEvent::PostOptStarted { area_con });
         let post_opt_span = trace::span(trace::cat::PHASE, "post-opt");
-        let post_opt = post_optimize(&mut netlist, ctx.timing(), &PostOptConfig::new(area_con));
+        let post_cfg = PostOptConfig::new(area_con);
+        let mut post_opt = post_optimize(&mut netlist, ctx.timing(), &post_cfg);
+        if post_opt.cpd_final > ctx.cpd_ori() {
+            // The best approximation ended slower than its input even
+            // after sizing. Ship the accurate circuit sized under the
+            // same budget instead: the sizer only accepts CPD-improving
+            // moves, so that result is never slower than the input.
+            netlist = ctx.accurate().clone();
+            post_opt = post_optimize(&mut netlist, ctx.timing(), &post_cfg);
+        }
         drop(post_opt_span);
         obs.on_event(&FlowEvent::PostOptFinished { report: post_opt });
         #[cfg(debug_assertions)]

@@ -394,16 +394,12 @@ pub fn optimize_session(
         let a = 2.0 - 2.0 * iter as f64 / cfg.iterations.max(1) as f64;
         sort_by_fitness(&mut population);
 
-        // With worker threads, build each member's scoring base (the
-        // expensive full sim + STA) in parallel before the serial,
-        // RNG-owning chase.
-        let mut bases = prebuild_bases(ctx, &population, cfg, threads);
         let offspring = match cfg.chase {
             ChaseStrategy::DoubleChase => {
-                double_chase(ctx, &population, &mut bases, a, cfg, &weights, &mut rng)
+                double_chase(ctx, &population, a, cfg, &weights, &mut rng)
             }
             ChaseStrategy::SingleChase => {
-                single_chase(ctx, &population, &mut bases, a, cfg, &weights, &mut rng)
+                single_chase(ctx, &population, a, cfg, &weights, &mut rng)
             }
         };
 
@@ -652,20 +648,6 @@ fn decision_parameter<R: Rng>(guide_fitness: f64, own_fitness: f64, a: f64, rng:
     encircle * d
 }
 
-fn search_child<R: Rng>(
-    ctx: &EvalContext,
-    parent: &Candidate,
-    prebuilt: Option<DeltaEval>,
-    cfg: &OptimizerConfig,
-    rng: &mut R,
-) -> Offspring {
-    let base = prebuilt.unwrap_or_else(|| {
-        ctx.delta_eval(parent.netlist.clone())
-            .with_full_resim_every(cfg.full_resim_every_n)
-    });
-    propose_into_offspring(base, cfg, rng)
-}
-
 /// Simulates and times `netlist` once (the simulation feeds
 /// similarity-based switch selection, the timing feeds critical-path
 /// target collection), proposes a circuit-searching LAC, and packages
@@ -679,14 +661,6 @@ fn searched_offspring<R: Rng>(
     let base = ctx
         .delta_eval(netlist)
         .with_full_resim_every(cfg.full_resim_every_n);
-    propose_into_offspring(base, cfg, rng)
-}
-
-fn propose_into_offspring<R: Rng>(
-    base: DeltaEval,
-    cfg: &OptimizerConfig,
-    rng: &mut R,
-) -> Offspring {
     let report = base.report();
     match propose_lac_with(base.netlist(), &report, base.sim(), &cfg.search, rng) {
         Some(lac) => Offspring::Scored {
@@ -697,34 +671,9 @@ fn propose_into_offspring<R: Rng>(
     }
 }
 
-/// Builds the per-member scoring bases (one full simulation + STA
-/// each) ahead of the chase, in parallel, so the expensive part of
-/// offspring construction scales with the `threads` knob. The chase
-/// itself stays serial (it owns the RNG stream); base construction
-/// draws no randomness, so parallel and serial runs stay bit-identical.
-/// With `threads <= 1` nothing is prebuilt — members that end up
-/// reproducing instead of searching then never pay for a base.
-fn prebuild_bases(
-    ctx: &EvalContext,
-    population: &[Candidate],
-    cfg: &OptimizerConfig,
-    threads: usize,
-) -> Vec<Option<DeltaEval>> {
-    if threads <= 1 || population.is_empty() {
-        return population.iter().map(|_| None).collect();
-    }
-    par::par_map(threads, population.iter().collect(), |cand: &Candidate| {
-        Some(
-            ctx.delta_eval(cand.netlist.clone())
-                .with_full_resim_every(cfg.full_resim_every_n),
-        )
-    })
-}
-
 fn double_chase<R: Rng>(
     ctx: &EvalContext,
     population: &[Candidate],
-    bases: &mut [Option<DeltaEval>],
     a: f64,
     cfg: &OptimizerConfig,
     weights: &LevelWeights,
@@ -756,7 +705,7 @@ fn double_chase<R: Rng>(
             let partner = &population[rng.gen_range(0..rank)];
             offspring.push(Offspring::Full(reproduce(ci, partner, weights)));
         } else {
-            offspring.push(search_child(ctx, ci, bases[rank].take(), cfg, rng));
+            offspring.push(searched_offspring(ctx, ci.netlist.clone(), cfg, rng));
         }
     }
 
@@ -766,28 +715,27 @@ fn double_chase<R: Rng>(
         let w = decision_parameter(elite_mean, ci.fitness, a, rng);
         let elite_partner = &population[rng.gen_range(0..elite_end)];
         if !cfg.reproduction {
-            offspring.push(search_child(ctx, ci, bases[idx].take(), cfg, rng));
+            offspring.push(searched_offspring(ctx, ci.netlist.clone(), cfg, rng));
         } else if w > cfg.omega_threshold {
             // Both actions compound on one circuit: reproduce with an
             // elite, then search the child.
             let child = reproduce(ci, elite_partner, weights);
             offspring.push(searched_offspring(ctx, child, cfg, rng));
         } else if rng.gen_bool(0.5) {
-            offspring.push(search_child(ctx, ci, bases[idx].take(), cfg, rng));
+            offspring.push(searched_offspring(ctx, ci.netlist.clone(), cfg, rng));
         } else {
             offspring.push(Offspring::Full(reproduce(ci, elite_partner, weights)));
         }
     }
 
     // The leader searches after the chase to keep its variability.
-    offspring.push(search_child(ctx, leader, bases[0].take(), cfg, rng));
+    offspring.push(searched_offspring(ctx, leader.netlist.clone(), cfg, rng));
     offspring
 }
 
 fn single_chase<R: Rng>(
     ctx: &EvalContext,
     population: &[Candidate],
-    bases: &mut [Option<DeltaEval>],
     a: f64,
     cfg: &OptimizerConfig,
     weights: &LevelWeights,
@@ -809,17 +757,11 @@ fn single_chase<R: Rng>(
             let partner = &population[rng.gen_range(0..leader_end)];
             offspring.push(Offspring::Full(reproduce(ci, partner, weights)));
         } else {
-            offspring.push(search_child(ctx, ci, bases[idx].take(), cfg, rng));
+            offspring.push(searched_offspring(ctx, ci.netlist.clone(), cfg, rng));
         }
     }
-    for idx in 0..leader_end {
-        offspring.push(search_child(
-            ctx,
-            &population[idx],
-            bases[idx].take(),
-            cfg,
-            rng,
-        ));
+    for leader in &population[..leader_end] {
+        offspring.push(searched_offspring(ctx, leader.netlist.clone(), cfg, rng));
     }
     offspring
 }

@@ -5,7 +5,7 @@
 use rand::Rng;
 use tdals_netlist::{GateId, Netlist, NetlistError, SignalRef};
 use tdals_sim::SimWords;
-use tdals_sta::{critical_path_to_po, TimingReport};
+use tdals_sta::{walk_worst_path, TimingReport};
 
 /// One local approximate change: substitute every use of the target
 /// gate's output with the switch signal.
@@ -68,6 +68,11 @@ impl Lac {
 /// with probability 0.5 per sampled gate — their gate fan-ins.
 ///
 /// Primary inputs never enter the set (they cannot be approximated).
+///
+/// A worst path depends only on the gate it starts from, so each PO's
+/// walk stops at the first gate an earlier walk already claimed: the
+/// rest of its path is in the set already. The total walk is
+/// O(distinct path gates), not O(POs × path length).
 pub fn collect_targets<R: Rng>(
     netlist: &Netlist,
     report: &TimingReport,
@@ -82,18 +87,29 @@ pub fn collect_targets<R: Rng>(
     let mut in_set = vec![false; netlist.gate_count()];
     let mut targets = Vec::new();
     for po in pos {
-        for gate in critical_path_to_po(netlist, report, po) {
-            if !in_set[gate.index()] && !netlist.gate(gate).is_input() {
+        // Walk from the PO side, then append the new stretch in path
+        // order (nearest the inputs first).
+        let fresh = targets.len();
+        walk_worst_path(
+            netlist,
+            |g| report.arrival(g),
+            netlist.output_driver(po),
+            |gate| {
+                if in_set[gate.index()] {
+                    return false;
+                }
                 in_set[gate.index()] = true;
                 targets.push(gate);
-            }
-        }
+                true
+            },
+        );
+        targets[fresh..].reverse();
     }
     // Uniform (0,1) sampling per path gate: above 0.5, adopt its fan-ins.
-    let path_gates = targets.clone();
-    for gate in path_gates {
+    let path_len = targets.len();
+    for i in 0..path_len {
         if rng.gen::<f64>() > 0.5 {
-            for fanin in netlist.gate(gate).fanins() {
+            for fanin in netlist.gate(targets[i]).fanins() {
                 if let SignalRef::Gate(src) = fanin {
                     if !in_set[src.index()] && !netlist.gate(*src).is_input() {
                         in_set[src.index()] = true;
@@ -176,6 +192,26 @@ pub fn random_lac<R: Rng, V: SimWords>(
     }
     let target = logic_gates[rng.gen_range(0..logic_gates.len())];
     select_switch(netlist, sim, target, max_candidates, rng)
+}
+
+/// Applies `lacs` random LACs (targets anywhere, switches by
+/// similarity) to a copy of `netlist`: the approximate circuits the
+/// differential tests feed the chase primitives.
+#[cfg(test)]
+pub(crate) fn random_lac_chain<R: Rng>(
+    netlist: &Netlist,
+    patterns: &tdals_sim::Patterns,
+    lacs: usize,
+    rng: &mut R,
+) -> Netlist {
+    let mut n = netlist.clone();
+    for _ in 0..lacs {
+        let sim = tdals_sim::simulate(&n, patterns);
+        if let Some(lac) = random_lac(&n, &sim, 16, rng) {
+            lac.apply(&mut n).expect("TFI switch is always legal");
+        }
+    }
+    n
 }
 
 #[cfg(test)]
@@ -268,6 +304,77 @@ mod tests {
         let dup_gate = dup.gate().expect("gate");
         let lac = select_switch(&n, &sim, dup_gate, 16, &mut rng).expect("switch");
         assert_eq!(lac.switch(), orig, "perfect-similarity switch chosen");
+    }
+
+    /// The full-walk `collect_targets` the early-stopping walk replaced:
+    /// every PO's whole worst path, deduplicated on insertion.
+    fn collect_targets_reference<R: Rng>(
+        netlist: &Netlist,
+        report: &TimingReport,
+        path_count: usize,
+        rng: &mut R,
+    ) -> Vec<GateId> {
+        let mut pos: Vec<usize> = (0..netlist.output_count()).collect();
+        pos.sort_by(|&a, &b| report.po_arrival(b).total_cmp(&report.po_arrival(a)));
+        pos.truncate(path_count.max(1));
+
+        let mut in_set = vec![false; netlist.gate_count()];
+        let mut targets = Vec::new();
+        for po in pos {
+            for gate in tdals_sta::critical_path_to_po(netlist, report, po) {
+                if !in_set[gate.index()] && !netlist.gate(gate).is_input() {
+                    in_set[gate.index()] = true;
+                    targets.push(gate);
+                }
+            }
+        }
+        let path_gates = targets.clone();
+        for gate in path_gates {
+            if rng.gen::<f64>() > 0.5 {
+                for fanin in netlist.gate(gate).fanins() {
+                    if let SignalRef::Gate(src) = fanin {
+                        if !in_set[src.index()] && !netlist.gate(*src).is_input() {
+                            in_set[src.index()] = true;
+                            targets.push(*src);
+                        }
+                    }
+                }
+            }
+        }
+        targets
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Random LAC chains on three circuits, any path count: the
+        /// early-stopping walk returns the same targets in the same
+        /// order and leaves the RNG stream where the full walk did.
+        #[test]
+        fn early_stopping_walk_matches_full_walk(
+            circuit in 0usize..3,
+            seed in 0u64..1 << 32,
+            lacs in 0usize..12,
+            path_count in 1usize..80,
+        ) {
+            let accurate = [
+                tdals_circuits::Benchmark::C880,
+                tdals_circuits::Benchmark::Int2float,
+                tdals_circuits::Benchmark::Max16,
+            ][circuit]
+            .build();
+            let patterns = Patterns::random(accurate.input_count(), 128, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = random_lac_chain(&accurate, &patterns, lacs, &mut rng);
+            let report = analyze(&n, &TimingConfig::default());
+            let path_count = if path_count >= 64 { usize::MAX } else { path_count };
+            let mut fast_rng = StdRng::seed_from_u64(seed ^ 1);
+            let mut ref_rng = StdRng::seed_from_u64(seed ^ 1);
+            let fast = collect_targets(&n, &report, path_count, &mut fast_rng);
+            let reference = collect_targets_reference(&n, &report, path_count, &mut ref_rng);
+            proptest::prop_assert_eq!(fast, reference);
+            proptest::prop_assert_eq!(fast_rng.gen::<u64>(), ref_rng.gen::<u64>());
+        }
     }
 
     #[test]

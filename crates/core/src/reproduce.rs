@@ -2,7 +2,7 @@
 //! best PO-TFI pairs of two approximate circuits into one child, guided
 //! by the `Level` evaluation of Eq. 3.
 
-use tdals_netlist::Netlist;
+use tdals_netlist::{GateId, Netlist, SignalRef};
 
 use crate::fitness::Candidate;
 
@@ -77,6 +77,14 @@ impl LevelWeights {
 /// `a`'s adjacency (the paper: "their information is selected from cp1
 /// and cp2"), which also covers dangling gates.
 ///
+/// The writes are resolved without replaying them. Each chosen pair
+/// gets its rank in the write order, and one reverse-topological sweep
+/// per parent gives every gate the best (lowest) rank among that
+/// parent's chosen cones containing it. A gate takes parent `b`'s row
+/// exactly when `b`'s best rank beats `a`'s, which is what the first
+/// write would have left. The cost is O(gates + pins) per parent,
+/// independent of the output count.
+///
 /// # Panics
 ///
 /// Panics if the parents disagree in gate or output count (they are
@@ -90,15 +98,37 @@ pub fn reproduce(a: &Candidate, b: &Candidate, weights: &LevelWeights) -> Netlis
         nb.output_count(),
         "parents must share outputs"
     );
-    let po_count = na.output_count();
+    let choices = choose_pairs(a, b, weights);
 
-    // Score every (po, parent) and pick the better parent per PO.
-    struct Choice {
-        po: usize,
-        from_b: bool,
-        level: f64,
+    let mut child = na.clone();
+    for choice in &choices {
+        let parent = if choice.from_b { nb } else { na };
+        child.set_output_driver(choice.po, parent.output_driver(choice.po));
     }
-    let mut choices: Vec<Choice> = (0..po_count)
+    let rank_a = first_write_ranks(na, &choices, false);
+    let rank_b = first_write_ranks(nb, &choices, true);
+    for (idx, (&ra, &rb)) in rank_a.iter().zip(&rank_b).enumerate() {
+        let id = GateId::new(idx);
+        if rb < ra && !nb.gate(id).is_input() {
+            child
+                .set_fanins(id, nb.gate(id).fanins().to_vec())
+                .expect("sibling adjacency rows always satisfy the id invariant");
+        }
+    }
+    child
+}
+
+/// One PO's winning PO-TFI pair.
+struct Choice {
+    po: usize,
+    from_b: bool,
+    level: f64,
+}
+
+/// Scores every (po, parent) and picks the better parent per PO, in
+/// write order: higher `Level` first, ties in PO order.
+fn choose_pairs(a: &Candidate, b: &Candidate, weights: &LevelWeights) -> Vec<Choice> {
+    let mut choices: Vec<Choice> = (0..a.netlist.output_count())
         .map(|po| {
             let la = weights.level(a.po_arrivals[po], a.po_errors[po]);
             let lb = weights.level(b.po_arrivals[po], b.po_errors[po]);
@@ -117,28 +147,40 @@ pub fn reproduce(a: &Candidate, b: &Candidate, weights: &LevelWeights) -> Netlis
             }
         })
         .collect();
-    // Higher-level pairs write first (first-write-wins on shared gates).
     choices.sort_by(|x, y| y.level.total_cmp(&x.level));
+    choices
+}
 
-    let mut child = na.clone();
-    let mut written = vec![false; na.gate_count()];
-    for choice in &choices {
-        let parent = if choice.from_b { nb } else { na };
-        child.set_output_driver(choice.po, parent.output_driver(choice.po));
-        let cone = parent.po_cone_mask(&[choice.po]);
-        for (idx, &in_cone) in cone.iter().enumerate() {
-            if in_cone && !written[idx] {
-                written[idx] = true;
-                let id = tdals_netlist::GateId::new(idx);
-                if !parent.gate(id).is_input() {
-                    child
-                        .set_fanins(id, parent.gate(id).fanins().to_vec())
-                        .expect("sibling adjacency rows always satisfy the id invariant");
-                }
+/// Per gate, the earliest write rank among the cones `parent` owns in
+/// `choices` that contain the gate (`usize::MAX` for none).
+///
+/// Fan-ins have smaller ids than their readers, so one descending
+/// sweep pushes each gate's rank into its fan-ins after every reader
+/// has contributed.
+fn first_write_ranks(parent: &Netlist, choices: &[Choice], from_b: bool) -> Vec<usize> {
+    let mut rank = vec![usize::MAX; parent.gate_count()];
+    for (r, choice) in choices.iter().enumerate() {
+        if choice.from_b != from_b {
+            continue;
+        }
+        if let SignalRef::Gate(driver) = parent.output_driver(choice.po) {
+            let slot = &mut rank[driver.index()];
+            *slot = (*slot).min(r);
+        }
+    }
+    for idx in (0..rank.len()).rev() {
+        let r = rank[idx];
+        if r == usize::MAX {
+            continue;
+        }
+        for fanin in parent.gate(GateId::new(idx)).fanins() {
+            if let SignalRef::Gate(src) = fanin {
+                let slot = &mut rank[src.index()];
+                *slot = (*slot).min(r);
             }
         }
     }
-    child
+    rank
 }
 
 #[cfg(test)]
@@ -166,6 +208,72 @@ mod tests {
             0.8,
         );
         (n, ctx)
+    }
+
+    /// The per-PO write replay the one-sweep `reproduce` replaced: one
+    /// cone mask and scan per chosen pair, first write wins.
+    fn reproduce_reference(a: &Candidate, b: &Candidate, weights: &LevelWeights) -> Netlist {
+        let (na, nb) = (&a.netlist, &b.netlist);
+        let mut child = na.clone();
+        let mut written = vec![false; na.gate_count()];
+        for choice in &choose_pairs(a, b, weights) {
+            let parent = if choice.from_b { nb } else { na };
+            child.set_output_driver(choice.po, parent.output_driver(choice.po));
+            let cone = parent.po_cone_mask(&[choice.po]);
+            for (idx, &in_cone) in cone.iter().enumerate() {
+                if in_cone && !written[idx] {
+                    written[idx] = true;
+                    let id = GateId::new(idx);
+                    if !parent.gate(id).is_input() {
+                        child
+                            .set_fanins(id, parent.gate(id).fanins().to_vec())
+                            .expect("sibling rows");
+                    }
+                }
+            }
+        }
+        child
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Random parent pairs (independent LAC chains) on three
+        /// circuits and several error floors: the sweep builds exactly
+        /// the child the per-PO replay builds, in both parent orders.
+        #[test]
+        fn one_sweep_matches_per_po_replay(
+            circuit in 0usize..3,
+            seed in 0u64..1 << 32,
+            lacs_a in 0usize..12,
+            lacs_b in 0usize..12,
+            floor in 0usize..3,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::SeedableRng;
+            let accurate = [
+                tdals_circuits::Benchmark::C880,
+                tdals_circuits::Benchmark::Int2float,
+                tdals_circuits::Benchmark::Max16,
+            ][circuit]
+            .build();
+            let patterns = Patterns::random(accurate.input_count(), 128, seed);
+            let ctx = EvalContext::new(
+                &accurate,
+                patterns.clone(),
+                ErrorMetric::ErrorRate,
+                TimingConfig::default(),
+                0.8,
+            );
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pa = crate::lac::random_lac_chain(&accurate, &patterns, lacs_a, &mut rng);
+            let pb = crate::lac::random_lac_chain(&accurate, &patterns, lacs_b, &mut rng);
+            let (ca, cb) = (ctx.evaluate(pa), ctx.evaluate(pb));
+            let w = LevelWeights::paper_defaults(ctx.cpd_ori(), 0.1)
+                .with_error_floor([1e-6, 0.01, 0.2][floor]);
+            proptest::prop_assert_eq!(reproduce(&ca, &cb, &w), reproduce_reference(&ca, &cb, &w));
+            proptest::prop_assert_eq!(reproduce(&cb, &ca, &w), reproduce_reference(&cb, &ca, &w));
+        }
     }
 
     #[test]

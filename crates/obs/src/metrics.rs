@@ -229,6 +229,11 @@ pub struct Metrics {
     pub sessions_reaped: Counter,
     /// Crashed shard workers restarted by the cluster supervisor.
     pub shard_restarts: Counter,
+    /// Full static-timing passes (`tdals_sta::analyze` calls).
+    pub sta_full_passes: Counter,
+    /// Upsize trials the timing-driven sizer re-timed (accepted or
+    /// rejected).
+    pub sizer_trials: Counter,
     /// Sessions currently waiting in the slot-pool line.
     pub queue_depth: Gauge,
     /// Affected-cone sizes (changed gates) per delta preview/commit.
@@ -252,6 +257,8 @@ impl Metrics {
             frames_written: Counter::new(),
             sessions_reaped: Counter::new(),
             shard_restarts: Counter::new(),
+            sta_full_passes: Counter::new(),
+            sizer_trials: Counter::new(),
             queue_depth: Gauge::new(),
             delta_cone_gates: Histogram::new(),
             grant_width: Histogram::new(),
@@ -273,6 +280,8 @@ impl Metrics {
                 ("frames_written", self.frames_written.get()),
                 ("sessions_reaped", self.sessions_reaped.get()),
                 ("shard_restarts", self.shard_restarts.get()),
+                ("sta_full_passes", self.sta_full_passes.get()),
+                ("sizer_trials", self.sizer_trials.get()),
             ],
             gauges: vec![("queue_depth", self.queue_depth.get())],
             histograms: vec![

@@ -111,6 +111,12 @@ impl TimingReport {
         }
     }
 
+    /// Splits off the per-gate `(arrival, depth, load)` arrays (the
+    /// incremental engine's initial state).
+    pub(crate) fn into_gate_arrays(self) -> (Vec<f64>, Vec<u32>, Vec<f64>) {
+        (self.arrival, self.depth, self.load)
+    }
+
     /// Output arrival time of a gate in ps.
     ///
     /// # Panics
@@ -191,7 +197,16 @@ impl TimingReport {
 /// input capacitances of its reader pins, plus wire capacitance per
 /// fan-out branch, plus the PO load where applicable; the gate delay is
 /// the cell's linear delay into that load.
+///
+/// Every call counts one `sta_full_passes` in the `tdals-obs` registry.
 pub fn analyze(netlist: &Netlist, cfg: &TimingConfig) -> TimingReport {
+    tdals_obs::metrics().sta_full_passes.incr();
+    full_pass(netlist, cfg)
+}
+
+/// [`analyze`] without the counter: the reference the incremental
+/// engine's debug oracle compares against.
+pub(crate) fn full_pass(netlist: &Netlist, cfg: &TimingConfig) -> TimingReport {
     let n = netlist.gate_count();
     let mut load = vec![0.0f64; n];
 
@@ -251,28 +266,34 @@ pub fn analyze(netlist: &Netlist, cfg: &TimingConfig) -> TimingReport {
     }
 }
 
-/// Gates on the single worst path feeding primary output `po`, from the
-/// earliest gate (nearest the inputs) to the PO driver.
+/// Walks the worst path backward from `start`, handing each gate to
+/// `visit` from the PO side toward the inputs; the walk ends at a
+/// primary input, a gate without gate fan-ins, or the first gate for
+/// which `visit` returns `false`.
 ///
-/// Ties are broken toward the lower gate id; primary-input pseudo-gates
-/// are not included.
-pub fn critical_path_to_po(netlist: &Netlist, report: &TimingReport, po: usize) -> Vec<GateId> {
-    let mut path = Vec::new();
-    let mut cursor = match netlist.output_driver(po) {
-        SignalRef::Gate(g) => g,
-        _ => return path,
+/// At each gate the walk steps to the fan-in with the latest arrival
+/// (the first such pin on ties). The path from a gate therefore depends
+/// only on that gate, which lets callers that walk many paths stop at
+/// a gate an earlier walk already covered.
+pub fn walk_worst_path(
+    netlist: &Netlist,
+    arrival: impl Fn(GateId) -> f64,
+    start: SignalRef,
+    mut visit: impl FnMut(GateId) -> bool,
+) {
+    let SignalRef::Gate(mut cursor) = start else {
+        return;
     };
     loop {
         let gate = netlist.gate(cursor);
-        if gate.is_input() {
-            break;
+        if gate.is_input() || !visit(cursor) {
+            return;
         }
-        path.push(cursor);
         let mut next: Option<GateId> = None;
         let mut best = f64::NEG_INFINITY;
         for fanin in gate.fanins() {
             if let SignalRef::Gate(src) = fanin {
-                let t = report.arrival(*src);
+                let t = arrival(*src);
                 if t > best {
                     best = t;
                     next = Some(*src);
@@ -281,9 +302,27 @@ pub fn critical_path_to_po(netlist: &Netlist, report: &TimingReport, po: usize) 
         }
         match next {
             Some(g) => cursor = g,
-            None => break,
+            None => return,
         }
     }
+}
+
+/// Gates on the single worst path feeding primary output `po`, from the
+/// earliest gate (nearest the inputs) to the PO driver.
+///
+/// Ties are broken toward the first fan-in pin; primary-input
+/// pseudo-gates are not included.
+pub fn critical_path_to_po(netlist: &Netlist, report: &TimingReport, po: usize) -> Vec<GateId> {
+    let mut path = Vec::new();
+    walk_worst_path(
+        netlist,
+        |g| report.arrival(g),
+        netlist.output_driver(po),
+        |g| {
+            path.push(g);
+            true
+        },
+    );
     path.reverse();
     path
 }

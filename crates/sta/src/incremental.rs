@@ -26,17 +26,16 @@
 //! let mut inc = IncrementalSta::new(&n, cfg);
 //! // Substitute g2 with constant 0 through the engine...
 //! inc.substitute(&mut n, g2.gate().expect("gate"), SignalRef::Const0)?;
-//! // ...and the state matches a from-scratch analysis.
+//! // ...and the state matches a from-scratch analysis bit for bit.
 //! let full = analyze(&n, &cfg);
-//! assert!((inc.critical_path_delay(&n) - full.critical_path_delay()).abs() < 1e-9);
+//! assert_eq!(inc.critical_path_delay(&n), full.critical_path_delay());
 //! # Ok::<(), tdals_netlist::NetlistError>(())
 //! ```
 
-use std::collections::BinaryHeap;
-
+use tdals_netlist::cell::Drive;
 use tdals_netlist::{GateId, Netlist, NetlistError, SignalRef};
 
-use crate::analysis::TimingConfig;
+use crate::analysis::{full_pass, TimingConfig};
 
 /// Timing summary of a previewed (uncommitted) substitution: the
 /// post-mutation PO arrivals and depths, from which the fitness terms
@@ -69,52 +68,88 @@ impl TimingDelta {
 /// [`IncrementalSta::substitute`] and drive changes through
 /// [`IncrementalSta::set_drive`]. Mutating the netlist behind the
 /// engine's back leaves it stale (re-create it in that case).
+///
+/// Both mutations keep the state *bit-identical* to a from-scratch
+/// [`analyze`](crate::analyze) of the mutated netlist: every changed
+/// load is re-summed in `analyze`'s order (reader pins in id order,
+/// then PO loads), and propagation stops only where an arrival and a
+/// depth are bit-for-bit unchanged.
 #[derive(Debug, Clone)]
 pub struct IncrementalSta {
     cfg: TimingConfig,
     arrival: Vec<f64>,
     depth: Vec<u32>,
     load: Vec<f64>,
-    /// Gate fan-out adjacency (reader gates only; PO loads are part of
-    /// `load` directly).
+    /// Gate fan-out adjacency: one entry per reader pin, in id order.
     fanouts: Vec<Vec<GateId>>,
-    /// Scratch: dirty flags for the propagation queue.
-    queued: Vec<bool>,
+    /// Primary outputs each gate drives (their loads follow the pins').
+    po_refs: Vec<u32>,
+    /// Scratch: per-gate pending flags of the propagation scan.
+    pending: Vec<bool>,
+    /// What [`IncrementalSta::revert_drive`] needs to undo the latest
+    /// [`IncrementalSta::set_drive`].
+    undo: UndoLog,
+}
+
+/// Old values overwritten by the latest drive change, in write order.
+#[derive(Debug, Clone, Default)]
+struct UndoLog {
+    /// The re-driven gate and its previous drive; `None` when there is
+    /// nothing to revert.
+    drive: Option<(GateId, Drive)>,
+    loads: Vec<(GateId, f64)>,
+    timing: Vec<(GateId, f64, u32)>,
+}
+
+impl UndoLog {
+    fn clear(&mut self) {
+        self.drive = None;
+        self.loads.clear();
+        self.timing.clear();
+    }
 }
 
 impl IncrementalSta {
     /// Builds the initial state with a full analysis pass.
     pub fn new(netlist: &Netlist, cfg: TimingConfig) -> IncrementalSta {
         let n = netlist.gate_count();
-        let mut engine = IncrementalSta {
-            cfg,
-            arrival: vec![0.0; n],
-            depth: vec![0; n],
-            load: vec![0.0; n],
-            fanouts: netlist.fanout_lists(),
-            queued: vec![false; n],
-        };
-        for (_, gate) in netlist.iter() {
-            let cap = gate.cell().input_cap();
-            for fanin in gate.fanins() {
-                if let SignalRef::Gate(src) = fanin {
-                    engine.load[src.index()] += cap + cfg.wire_cap_per_fanout;
-                }
-            }
-        }
+        let (arrival, depth, load) = full_pass(netlist, &cfg).into_gate_arrays();
+        let mut po_refs = vec![0u32; n];
         for (_, driver) in netlist.outputs() {
             if let SignalRef::Gate(src) = driver {
-                engine.load[src.index()] += cfg.po_load + cfg.wire_cap_per_fanout;
+                po_refs[src.index()] += 1;
             }
         }
-        for (id, gate) in netlist.iter() {
-            if !gate.is_input() {
-                engine.refresh_gate(netlist, id);
-            }
+        IncrementalSta {
+            cfg,
+            arrival,
+            depth,
+            load,
+            fanouts: netlist.fanout_lists(),
+            po_refs,
+            pending: vec![false; n],
+            undo: UndoLog::default(),
         }
-        engine
     }
 
+    /// Re-sums a gate's output load from scratch, in `analyze`'s order.
+    fn refresh_load(&mut self, netlist: &Netlist, id: GateId) {
+        let mut load = 0.0f64;
+        for &reader in &self.fanouts[id.index()] {
+            load += netlist.gate(reader).cell().input_cap() + self.cfg.wire_cap_per_fanout;
+        }
+        for _ in 0..self.po_refs[id.index()] {
+            load += self.cfg.po_load + self.cfg.wire_cap_per_fanout;
+        }
+        let old = self.load[id.index()];
+        if load.to_bits() != old.to_bits() {
+            self.undo.loads.push((id, old));
+            self.load[id.index()] = load;
+        }
+    }
+
+    /// Re-times one gate from its fan-ins; `true` when its arrival or
+    /// depth changed bits.
     fn refresh_gate(&mut self, netlist: &Netlist, id: GateId) -> bool {
         let gate = netlist.gate(id);
         let mut worst_arrival = 0.0f64;
@@ -127,38 +162,44 @@ impl IncrementalSta {
         }
         let arrival = worst_arrival + gate.cell().delay(self.load[id.index()]);
         let depth = worst_depth + 1;
-        let changed =
-            (arrival - self.arrival[id.index()]).abs() > 1e-12 || depth != self.depth[id.index()];
+        let (old_arrival, old_depth) = (self.arrival[id.index()], self.depth[id.index()]);
+        if arrival.to_bits() == old_arrival.to_bits() && depth == old_depth {
+            return false;
+        }
+        self.undo.timing.push((id, old_arrival, old_depth));
         self.arrival[id.index()] = arrival;
         self.depth[id.index()] = depth;
-        changed
+        true
     }
 
     /// Re-propagates arrivals from the given seed gates through their
-    /// fan-out cones, stopping wherever values settle.
-    fn propagate(&mut self, netlist: &Netlist, seeds: impl IntoIterator<Item = GateId>) {
-        // Min-heap on gate id: ids are topological, so processing in id
-        // order visits every gate at most once per call.
-        let mut heap: BinaryHeap<std::cmp::Reverse<GateId>> = BinaryHeap::new();
+    /// fan-out cones, stopping wherever values are bit-for-bit
+    /// unchanged.
+    ///
+    /// Fan-outs always have larger ids than their drivers, so one
+    /// ascending scan over the pending flags visits every affected gate
+    /// once, after all of its fan-ins have settled.
+    fn propagate(&mut self, netlist: &Netlist, seeds: &[GateId]) {
+        let Some(lo) = seeds.iter().map(|g| g.index()).min() else {
+            return;
+        };
+        let mut hi = lo;
         for seed in seeds {
-            if !self.queued[seed.index()] {
-                self.queued[seed.index()] = true;
-                heap.push(std::cmp::Reverse(seed));
-            }
+            self.pending[seed.index()] = true;
+            hi = hi.max(seed.index());
         }
-        while let Some(std::cmp::Reverse(id)) = heap.pop() {
-            self.queued[id.index()] = false;
-            if netlist.gate(id).is_input() {
-                continue;
-            }
-            if self.refresh_gate(netlist, id) {
-                for &reader in &self.fanouts[id.index()] {
-                    if !self.queued[reader.index()] {
-                        self.queued[reader.index()] = true;
-                        heap.push(std::cmp::Reverse(reader));
+        let mut i = lo;
+        while i <= hi {
+            if std::mem::take(&mut self.pending[i]) {
+                let id = GateId::new(i);
+                if !netlist.gate(id).is_input() && self.refresh_gate(netlist, id) {
+                    for &reader in &self.fanouts[i] {
+                        self.pending[reader.index()] = true;
+                        hi = hi.max(reader.index());
                     }
                 }
             }
+            i += 1;
         }
     }
 
@@ -178,60 +219,98 @@ impl IncrementalSta {
         target: GateId,
         switch: SignalRef,
     ) -> Result<usize, NetlistError> {
-        // Collect the readers (gates and their pin caps) before mutating.
-        let old = SignalRef::Gate(target);
-        let readers: Vec<GateId> = self.fanouts[target.index()].clone();
-        let po_reader_count = netlist.outputs().filter(|(_, d)| *d == old).count();
         let rewritten = netlist.substitute(target, switch)?;
-
-        // Load transfer: every reader pin (plus PO loads) moves from the
-        // target to the switch gate.
-        let mut moved_cap = 0.0;
-        for &reader in &readers {
-            moved_cap += netlist.gate(reader).cell().input_cap() + self.cfg.wire_cap_per_fanout;
-        }
-        moved_cap += po_reader_count as f64 * (self.cfg.po_load + self.cfg.wire_cap_per_fanout);
-        self.load[target.index()] -= moved_cap;
-
+        // Every reader pin and PO reference moves from the target to
+        // the switch.
+        let readers = std::mem::take(&mut self.fanouts[target.index()]);
+        let po_moved = std::mem::take(&mut self.po_refs[target.index()]);
         let mut seeds: Vec<GateId> = Vec::with_capacity(readers.len() + 2);
         if let SignalRef::Gate(sw) = switch {
-            self.load[sw.index()] += moved_cap;
-            self.fanouts[sw.index()].extend(readers.iter().copied());
+            let list = &mut self.fanouts[sw.index()];
+            list.extend(readers.iter().copied());
+            list.sort_unstable();
+            self.po_refs[sw.index()] += po_moved;
+            self.refresh_load(netlist, sw);
             seeds.push(sw); // its own delay changed with the new load
         }
-        self.fanouts[target.index()].clear();
         // The target's delay changed too (it lost load); it is dangling
         // but keeps consistent timing data.
+        self.refresh_load(netlist, target);
         seeds.push(target);
         seeds.extend(readers);
-        self.propagate(netlist, seeds);
+        self.propagate(netlist, &seeds);
+        // A substitution is not revertible through the drive log.
+        self.undo.clear();
         Ok(rewritten)
     }
 
     /// Changes a gate's drive strength through the engine, repairing the
     /// loads its input pins present and all affected arrivals.
     ///
+    /// [`IncrementalSta::revert_drive`] undoes the latest call in time
+    /// proportional to what it changed.
+    ///
     /// # Panics
     ///
     /// Panics if `gate` names a primary input.
-    pub fn set_drive(
-        &mut self,
-        netlist: &mut Netlist,
-        gate: GateId,
-        drive: tdals_netlist::cell::Drive,
-    ) {
-        let old_cap = netlist.gate(gate).cell().input_cap();
+    pub fn set_drive(&mut self, netlist: &mut Netlist, gate: GateId, drive: Drive) {
+        self.undo.clear();
+        self.undo.drive = Some((gate, netlist.gate(gate).cell().drive()));
         netlist.set_drive(gate, drive);
-        let new_cap = netlist.gate(gate).cell().input_cap();
-        let delta = new_cap - old_cap;
         let mut seeds: Vec<GateId> = vec![gate];
         for fanin in netlist.gate(gate).fanins() {
             if let SignalRef::Gate(src) = fanin {
-                self.load[src.index()] += delta;
+                self.refresh_load(netlist, *src);
                 seeds.push(*src);
             }
         }
-        self.propagate(netlist, seeds);
+        self.propagate(netlist, &seeds);
+    }
+
+    /// Undoes the latest [`IncrementalSta::set_drive`]: restores the
+    /// gate's previous drive in `netlist` and every load, arrival and
+    /// depth that call overwrote.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no drive change is pending (none was made, or a later
+    /// substitution or revert consumed it).
+    pub fn revert_drive(&mut self, netlist: &mut Netlist) {
+        let (gate, drive) = self
+            .undo
+            .drive
+            .take()
+            .expect("revert_drive needs a preceding set_drive");
+        netlist.set_drive(gate, drive);
+        for &(id, load) in self.undo.loads.iter().rev() {
+            self.load[id.index()] = load;
+        }
+        for &(id, arrival, depth) in self.undo.timing.iter().rev() {
+            self.arrival[id.index()] = arrival;
+            self.depth[id.index()] = depth;
+        }
+        self.undo.clear();
+    }
+
+    /// Debug oracle: panics unless every load, arrival and depth equals
+    /// a from-scratch analysis of `netlist` bit for bit.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn assert_exact(&self, netlist: &Netlist) {
+        let (arrival, depth, load) = full_pass(netlist, &self.cfg).into_gate_arrays();
+        for i in 0..netlist.gate_count() {
+            assert!(
+                self.load[i].to_bits() == load[i].to_bits()
+                    && self.arrival[i].to_bits() == arrival[i].to_bits()
+                    && self.depth[i] == depth[i],
+                "incremental STA diverged at gate {i}: load {} vs {}, arrival {} vs {}, depth {} vs {}",
+                self.load[i],
+                load[i],
+                self.arrival[i],
+                arrival[i],
+                self.depth[i],
+                depth[i]
+            );
+        }
     }
 
     /// Scores the substitution `target := switch` **without committing
@@ -240,8 +319,11 @@ impl IncrementalSta {
     /// timing summary. The engine and netlist are unchanged.
     ///
     /// The result matches a from-scratch [`analyze`](crate::analyze) of
-    /// the mutated netlist (same event-driven settle rules as
-    /// [`IncrementalSta::substitute`]).
+    /// the mutated netlist to within float rounding, not bit for bit
+    /// like [`IncrementalSta::substitute`]: the switch's load grows by
+    /// the moved capacitance instead of being re-summed, and
+    /// propagation settles at changes below 1e-12 ps. Optimizer scores
+    /// are built from these exact bits, so the rules stay as they are.
     ///
     /// # Panics
     ///
@@ -416,15 +498,28 @@ impl IncrementalSta {
         self.load[id.index()]
     }
 
+    /// Arrival time at each primary output, in output order.
+    fn po_arrivals<'n>(&'n self, netlist: &'n Netlist) -> impl Iterator<Item = f64> + 'n {
+        netlist.outputs().map(|(_, driver)| match driver {
+            SignalRef::Gate(src) => self.arrival[src.index()],
+            _ => 0.0,
+        })
+    }
+
     /// Critical path delay over the netlist's primary outputs.
     pub fn critical_path_delay(&self, netlist: &Netlist) -> f64 {
-        netlist
-            .outputs()
-            .map(|(_, driver)| match driver {
-                SignalRef::Gate(src) => self.arrival[src.index()],
-                _ => 0.0,
-            })
-            .fold(0.0, f64::max)
+        self.po_arrivals(netlist).fold(0.0, f64::max)
+    }
+
+    /// Index of the primary output with the worst arrival time (the
+    /// last one on ties, like
+    /// [`TimingReport::critical_po`](crate::TimingReport::critical_po)).
+    pub fn critical_po(&self, netlist: &Netlist) -> usize {
+        self.po_arrivals(netlist)
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(i, _)| i)
+            .unwrap_or(0)
     }
 }
 
@@ -459,30 +554,13 @@ mod tests {
         b.finish()
     }
 
-    fn assert_matches_full(netlist: &Netlist, inc: &IncrementalSta, cfg: &TimingConfig) {
-        let full = analyze(netlist, cfg);
-        for (id, _) in netlist.iter() {
-            assert!(
-                (inc.arrival(id) - full.arrival(id)).abs() < 1e-9,
-                "arrival mismatch at {id}: {} vs {}",
-                inc.arrival(id),
-                full.arrival(id)
-            );
-            assert_eq!(inc.depth(id), full.depth(id), "depth mismatch at {id}");
-            assert!(
-                (inc.load(id) - full.load(id)).abs() < 1e-9,
-                "load mismatch at {id}"
-            );
-        }
-    }
-
     #[test]
     fn fresh_engine_matches_full_analysis() {
         let cfg = TimingConfig::default();
         for seed in 0..5 {
             let n = random_dag(seed);
             let inc = IncrementalSta::new(&n, cfg);
-            assert_matches_full(&n, &inc, &cfg);
+            inc.assert_exact(&n);
         }
     }
 
@@ -511,7 +589,7 @@ mod tests {
                 candidates.push(SignalRef::Const0);
                 let switch = candidates[rng.gen_range(0..candidates.len())];
                 inc.substitute(&mut n, target, switch).expect("legal LAC");
-                assert_matches_full(&n, &inc, &cfg);
+                inc.assert_exact(&n);
             }
         }
     }
@@ -596,8 +674,49 @@ mod tests {
             let drive =
                 [Drive::X0, Drive::X1, Drive::X2, Drive::X4, Drive::X8][rng.gen_range(0..5)];
             inc.set_drive(&mut n, gate, drive);
-            assert_matches_full(&n, &inc, &cfg);
+            inc.assert_exact(&n);
         }
+    }
+
+    #[test]
+    fn reverted_drive_changes_restore_the_exact_state() {
+        let cfg = TimingConfig::default();
+        let mut rng = StdRng::seed_from_u64(9);
+        for seed in 0..5 {
+            let mut n = random_dag(seed);
+            let mut inc = IncrementalSta::new(&n, cfg);
+            let logic: Vec<GateId> = n
+                .iter()
+                .filter(|(_, g)| !g.is_input())
+                .map(|(id, _)| id)
+                .collect();
+            for _ in 0..12 {
+                let gate = logic[rng.gen_range(0..logic.len())];
+                let before = n.clone();
+                let drive =
+                    [Drive::X0, Drive::X1, Drive::X2, Drive::X4, Drive::X8][rng.gen_range(0..5)];
+                inc.set_drive(&mut n, gate, drive);
+                inc.assert_exact(&n);
+                if rng.gen_bool(0.5) {
+                    inc.revert_drive(&mut n);
+                    assert_eq!(n, before, "revert restores the drive");
+                    inc.assert_exact(&n);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "preceding set_drive")]
+    fn revert_after_substitute_panics() {
+        let cfg = TimingConfig::default();
+        let mut n = random_dag(2);
+        let mut inc = IncrementalSta::new(&n, cfg);
+        let gate = GateId::new(20);
+        inc.set_drive(&mut n, gate, Drive::X4);
+        inc.substitute(&mut n, gate, SignalRef::Const0)
+            .expect("legal LAC");
+        inc.revert_drive(&mut n);
     }
 
     #[test]
@@ -610,6 +729,6 @@ mod tests {
         let downstream = GateId::new(n.gate_count() - 1);
         let err = inc.substitute(&mut n, target, downstream.into());
         assert!(err.is_err());
-        assert_matches_full(&n, &inc, &cfg);
+        inc.assert_exact(&n);
     }
 }

@@ -9,9 +9,14 @@
 //!   with per-gate and per-PO timing, the critical path delay (`CPD`),
 //!   and the maximum depth (`Depth` in the paper's fitness, Eq. 8);
 //! * [`critical_path`] / [`critical_path_to_po`] extract the worst paths
-//!   that circuit searching targets;
+//!   that circuit searching targets, over the shared backward walk
+//!   [`walk_worst_path`];
+//! * [`IncrementalSta`] keeps one netlist's timing bit-identical to
+//!   [`analyze`] across substitutions and drive changes, re-timing only
+//!   the affected cone;
 //! * [`size_for_timing`] implements the post-optimization sizing step
-//!   (§III-C): greedy drive-strength upsizing under an area constraint.
+//!   (§III-C): greedy drive-strength upsizing under an area constraint,
+//!   re-timed incrementally per trial.
 //!
 //! # Examples
 //!
@@ -43,7 +48,9 @@ mod incremental;
 mod report;
 mod sizing;
 
-pub use analysis::{analyze, critical_path, critical_path_to_po, TimingConfig, TimingReport};
+pub use analysis::{
+    analyze, critical_path, critical_path_to_po, walk_worst_path, TimingConfig, TimingReport,
+};
 pub use incremental::{IncrementalSta, TimingDelta};
 pub use report::{timing_report_text, ReportOptions};
 pub use sizing::{size_for_timing, SizingConfig, SizingResult};

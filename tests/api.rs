@@ -10,6 +10,8 @@ use tdals::baselines::{Method, MethodConfig, ALL_METHODS};
 use tdals::circuits::Benchmark;
 use tdals::core::api::{Budget, CancelFlag, Flow, FlowEvent, FlowOutcome, StopReason};
 use tdals::core::EvalContext;
+use tdals::netlist::verilog;
+use tdals::server::FlowJob;
 use tdals::sim::{ErrorMetric, Patterns};
 use tdals::sta::TimingConfig;
 
@@ -236,4 +238,31 @@ fn evaluation_counts_are_deterministic() {
     let b = run();
     assert_eq!(a.optimize.evaluations, b.optimize.evaluations);
     assert_eq!(a.netlist, b.netlist);
+}
+
+#[test]
+fn flow_result_is_never_slower_than_its_input() {
+    // A c880 session from its Verilog round trip whose best
+    // approximation came out of post-optimization slower than the
+    // accurate circuit (Ratio_cpd 1.0020). The flow must fall back to
+    // the accurate circuit, sized under the same area budget.
+    let text = verilog::to_verilog(&Benchmark::C880.build());
+    let job = FlowJob::verilog("c880", text)
+        .with_metric(ErrorMetric::ErrorRate)
+        .with_bound(0.03)
+        .with_scale(8, 4)
+        .with_vectors(512)
+        .with_seed(11_433_928_545_154_310_608);
+    let outcome = job.run_direct(1).expect("valid job");
+    assert!(
+        outcome.ratio_cpd <= 1.0,
+        "Ratio_cpd {} exceeds 1",
+        outcome.ratio_cpd
+    );
+    assert_eq!(outcome.error, 0.0, "the fallback is the accurate circuit");
+    assert!(outcome.area <= outcome.area_con);
+    assert_eq!(outcome.post_opt.cpd_final, outcome.cpd_fac);
+    // The optimizer's own best is kept for inspection, and it is the
+    // approximation that regressed.
+    assert!(outcome.optimize.best.error > 0.0);
 }

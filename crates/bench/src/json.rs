@@ -5,9 +5,17 @@
 //! this module provides a small self-contained [`Json`] value type with
 //! a recursive-descent parser and a stable pretty-printer. It covers
 //! the full JSON grammar except `\u` escapes beyond the BMP surrogate
-//! pairing (unpaired surrogates are rejected).
+//! pairing (unpaired surrogates are rejected). Nesting is capped at
+//! [`MAX_DEPTH`] so a hostile document gets an error, not a stack
+//! overflow.
 
 use std::fmt;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. Real
+/// documents (results files, traces, wire frames) nest under ten
+/// levels; the cap keeps the recursive descent's stack use bounded on
+/// untrusted input.
+pub const MAX_DEPTH: usize = 128;
 
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,11 +94,12 @@ impl Json {
     /// # Errors
     ///
     /// Returns a human-readable message naming the byte offset of the
-    /// first syntax error.
+    /// first syntax error, or of the first container nested deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -241,8 +250,16 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value; `depth` counts the containers already open around
+/// it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -258,7 +275,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -291,7 +308,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -431,6 +448,22 @@ mod tests {
         assert!(Json::parse("[1, 2,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse(r#"{"a" 1}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).expect_err("too deep");
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // Far past the cap, and unterminated: still an ordinary error.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

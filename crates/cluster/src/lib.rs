@@ -1,14 +1,14 @@
 //! # tdals-cluster
 //!
-//! The multi-process shard coordinator: fan one `serve-batch`
-//! [`Manifest`](tdals_server::Manifest) across N worker processes and
+//! The multi-process shard coordinator: fan one batch
+//! [`Manifest`](tdals_server::Manifest) across N daemon processes and
 //! merge the per-shard results back into a file **byte-identical to
 //! the single-process run**.
 //!
 //! The stack's determinism ladder makes this almost free: one flow is
 //! bit-identical at any thread count (PR 4), a batch's results file is
 //! byte-identical at any pool width (PR 5), and a wire-reassembled
-//! results file is byte-identical to `serve-batch`'s (PR 7). Every
+//! results file is byte-identical to a local batch run's. Every
 //! result record is a pure function of its job description — seeds
 //! drive all randomness and wall-clock never enters a record — so
 //! *where* a job runs cannot change its bytes. What a coordinator must
@@ -17,12 +17,12 @@
 //! * [`plan`](mod@plan) — split the manifest into per-shard index sets
 //!   ([`ShardPlan`]) under a [`ShardPolicy`], recorded in a JSON shard
 //!   map so the merge is order-reconstructible;
-//! * [`supervisor`] — run one worker per shard: spawn
-//!   `tdals serve-batch` child processes ([`run_children`], mode A) or
-//!   drive already-running `tdals serve` daemons over the wire
-//!   protocol ([`run_daemons`], mode B), with per-shard timeouts and a
-//!   bounded restart for crashed children (safe to re-run precisely
-//!   because results are seed-driven);
+//! * [`supervisor`] — run one `tdals serve` daemon per shard, either
+//!   spawned as a child process or already running ([`Daemons`]), and
+//!   drive each over the wire protocol with the same client loop
+//!   `tdals submit` uses ([`run_shards`]), with per-shard timeouts and
+//!   a bounded restart for a spawned child that dies (safe to re-run
+//!   precisely because results are seed-driven);
 //! * [`merge`](mod@merge) — stitch the per-shard, submission-ordered
 //!   result records back into manifest order ([`merge()`]).
 //!
@@ -49,8 +49,8 @@
 //! let manifest = Manifest::new(jobs);
 //! let plan = plan(&manifest, 2, ShardPolicy::RoundRobin).expect("plannable");
 //!
-//! // Run each shard through the same engine a worker process runs
-//! // (in-process here; the supervisor does this across processes).
+//! // Run each shard through the batch engine in-process (the supervisor
+//! // runs each on its own daemon instead; the records are the same).
 //! let opts = BatchOptions::new().with_total_threads(1);
 //! let docs: Vec<String> = (0..plan.shard_count())
 //!     .map(|s| {
@@ -75,11 +75,11 @@ pub mod supervisor;
 
 pub use merge::merge;
 pub use plan::{plan, ShardPlan, ShardPolicy, SHARD_MAP_SCHEMA};
-pub use supervisor::{run_children, run_daemons, SupervisorOptions};
+pub use supervisor::{run_shards, Daemons, SupervisorOptions};
 
 /// Why a sharded run failed. Each variant names the layer that broke:
-/// planning, process management, the results a worker produced, the
-/// wire protocol, or the merge invariant.
+/// planning, process management, the wire protocol, or the merge
+/// invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ClusterError {
@@ -93,27 +93,19 @@ pub enum ClusterError {
         /// What failed, with the OS error.
         what: String,
     },
-    /// A worker process died without producing a complete results file,
-    /// even after the bounded restart.
+    /// A spawned daemon died before delivering every record of its
+    /// shard, and so did its one replacement.
     Worker {
-        /// Which shard's worker.
+        /// Which shard's daemon.
         shard: usize,
         /// The exit status (or how the process died).
         status: String,
-        /// Diagnosis, including the worker's last stderr lines.
+        /// Diagnosis, including the daemon's last stderr lines.
         what: String,
     },
-    /// A worker exited cleanly but its results file does not cover its
-    /// shard (missing, unparseable, or short), even after the bounded
-    /// restart.
-    PartialResults {
-        /// Which shard's worker.
-        shard: usize,
-        /// What the file looked like.
-        what: String,
-    },
-    /// A mode B daemon conversation failed (dial, error frame, or a
-    /// malformed reply).
+    /// A daemon conversation failed: a dial, an error frame, a
+    /// malformed reply, or a broken connection to a daemon the
+    /// supervisor did not spawn.
     Protocol {
         /// Which shard's daemon.
         shard: usize,
@@ -144,10 +136,7 @@ impl std::fmt::Display for ClusterError {
                 shard,
                 status,
                 what,
-            } => write!(f, "shard {shard} worker died ({status}): {what}"),
-            ClusterError::PartialResults { shard, what } => {
-                write!(f, "shard {shard} produced partial results: {what}")
-            }
+            } => write!(f, "shard {shard} daemon died ({status}): {what}"),
             ClusterError::Protocol { shard, what } => {
                 write!(f, "shard {shard} protocol error: {what}")
             }

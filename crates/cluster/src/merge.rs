@@ -3,13 +3,14 @@
 //!
 //! Why byte-identity holds: a result record is a pure function of its
 //! job (seeds drive all randomness, wall-clock is excluded), a shard's
-//! worker emits records in shard-local submission order with local
+//! client numbers records in shard-local submission order with local
 //! `job` indices, and the JSON printer is roundtrip-stable
 //! (`print ∘ parse ∘ print = print`, pinned by the codec's golden
 //! tests). So parsing each shard document, rewriting each record's
 //! local index to the global one the [`ShardPlan`] recorded, and
-//! reprinting in global order reproduces exactly the bytes
-//! `tdals serve-batch` would have written for the whole manifest.
+//! reprinting in global order reproduces exactly the bytes the
+//! unsharded batch run ([`BatchRun`](tdals_server::BatchRun)) writes for
+//! the whole manifest.
 
 use tdals_bench::json::Json;
 use tdals_server::results_document_from_records;

@@ -740,7 +740,7 @@ impl Listener {
 
     fn accept(&self) -> io::Result<Stream> {
         match self {
-            Listener::Tcp(l) => Ok(Stream::Tcp(l.accept()?.0)),
+            Listener::Tcp(l) => Ok(Stream::Tcp(nodelay(l.accept()?.0)?)),
             #[cfg(unix)]
             Listener::Unix(l, _) => Ok(Stream::Unix(l.accept()?.0)),
         }
@@ -779,8 +779,16 @@ pub fn connect(spec: &str) -> io::Result<Stream> {
             io::ErrorKind::Unsupported,
             format!("unix sockets are unavailable on this platform: {path}"),
         )),
-        None => Ok(Stream::Tcp(TcpStream::connect(spec)?)),
+        None => Ok(Stream::Tcp(nodelay(TcpStream::connect(spec)?)?)),
     }
+}
+
+/// Frames go out in several small writes and every request waits for
+/// its reply, so Nagle's algorithm would hold each frame's tail back for
+/// a delayed ACK: tens of milliseconds per round-trip on TCP.
+fn nodelay(stream: TcpStream) -> io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 /// Why a dial (with retries) gave up. The variant matters to callers:

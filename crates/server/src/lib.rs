@@ -37,12 +37,14 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
+pub mod client;
 pub mod daemon;
 pub mod job;
 pub mod protocol;
 pub mod scheduler;
 
 pub use batch::{BatchOptions, BatchReport, BatchRun};
+pub use client::{roundtrip, run_jobs, ClientError};
 pub use daemon::{connect, connect_retry, ConnectError, Daemon, DaemonConfig, Listener, Stream};
 pub use job::{
     check_bound, parse_worker_count, results_document, results_document_from_records,

@@ -3,12 +3,12 @@
 //! worker engine, and merge the per-shard results back into a document
 //! **byte-identical** to the single-process run.
 //!
-//! This is the library face of `tdals shard-batch`. The CLI's mode A
-//! spawns one `tdals serve-batch` child process per shard; here each
-//! shard runs in-process through the very same [`BatchRun`] engine
-//! those children execute, so the example needs no spawned binaries
-//! and still demonstrates the whole plan → run → merge contract,
-//! byte-for-byte.
+//! This is the library face of `tdals shard-batch`. The CLI runs each
+//! shard on its own `tdals serve` daemon (spawned, or given with
+//! `--connect`); here each shard runs in-process through the
+//! [`BatchRun`] engine, whose records are the daemon's byte for byte,
+//! so the example needs no spawned binaries and still demonstrates the
+//! whole plan → run → merge contract.
 //!
 //! ```sh
 //! cargo run --release --example shard_batch

@@ -8,8 +8,8 @@
 //! * `serve-batch` — run a JSON manifest of jobs as concurrent
 //!   sessions over one shared worker pool and write a deterministic
 //!   results file;
-//! * `shard-batch` — fan the same manifest across N worker processes
-//!   (spawned `serve-batch` children, or running `serve` daemons via
+//! * `shard-batch` — fan the same manifest across N `serve` daemons
+//!   (spawned as child processes, or already running and given by
 //!   `--connect`) and merge a results file byte-identical to the
 //!   single-process run;
 //! * `serve`  — the same serving layer as a long-lived daemon speaking
@@ -44,13 +44,13 @@ use std::time::Duration;
 
 use tdals::baselines::Method;
 use tdals::circuits::{Benchmark, ALL_BENCHMARKS};
-use tdals::cluster::{merge, plan, run_children, run_daemons, ShardPolicy, SupervisorOptions};
+use tdals::cluster::{merge, plan, run_shards, Daemons, ShardPolicy, SupervisorOptions};
 use tdals::core::api::{FlowEvent, FnObserver};
 use tdals::netlist::{verilog, Netlist};
 use tdals::server::{
-    as_error, check_bound, connect_retry, event_to_json, parse_worker_count,
-    results_document_from_records, BatchOptions, BatchRun, Connection, Daemon, DaemonConfig,
-    FlowJob, Listener, Manifest, Request, Stream, PROTOCOL_SCHEMA,
+    check_bound, connect_retry, event_to_json, parse_worker_count, results_document_from_records,
+    roundtrip, run_jobs, BatchOptions, BatchRun, Connection, Daemon, DaemonConfig, FlowJob,
+    Listener, Manifest, Request, PROTOCOL_SCHEMA,
 };
 use tdals::sim::ErrorMetric;
 use tdals::sta::{analyze, critical_path, TimingConfig};
@@ -97,8 +97,7 @@ const USAGE: &str = "usage:
   tdals serve-batch --manifest <jobs.json> [--out <results.json>]
                [--total-threads <n>] [--session-threads <n>] [--progress]
                [--trace <trace.json>]
-  tdals shard-batch --manifest <jobs.json> --shards <n>
-               [--workers serve-batch | --connect <addr,addr,...>]
+  tdals shard-batch --manifest <jobs.json> --shards <n> [--connect <addr,addr,...>]
                [--policy <round-robin|size-weighted>] [--out <results.json>]
                [--shard-map <file.json>] [--total-threads <n>] [--timeout <secs>]
                [--retry <n>] [--progress] [--trace <trace.json>]
@@ -483,8 +482,8 @@ fn cmd_shard_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let manifest_path = opts
         .get("manifest")
         .ok_or_else(|| CliError::Usage("--manifest is required".into()))?;
-    // Mode selection: --connect drives running daemons (mode B),
-    // --workers serve-batch (the default) spawns child processes.
+    // --connect drives running daemons; without it, each shard gets a
+    // `tdals serve` child spawned from this very binary.
     let connect_specs: Option<Vec<String>> = opts.get("connect").map(|list| {
         list.split(',')
             .map(str::trim)
@@ -492,25 +491,9 @@ fn cmd_shard_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
             .map(str::to_owned)
             .collect()
     });
-    match opts.get("workers").map(String::as_str) {
-        None => {}
-        Some("serve-batch") if connect_specs.is_some() => {
-            return Err(CliError::run(
-                "--workers serve-batch and --connect are mutually exclusive: child \
-                 processes or running daemons, not both",
-            ));
-        }
-        Some("serve-batch") => {}
-        Some(other) => {
-            return Err(CliError::run(format!(
-                "--workers: only `serve-batch` workers can be spawned, got `{other}` \
-                 (use --connect for running daemons)"
-            )));
-        }
-    }
     let shards = match parse_positive(opts, "shards")? {
         Some(n) => n,
-        // Mode B has a natural default: one shard per daemon.
+        // Given daemons make a natural default: one shard per daemon.
         None => match &connect_specs {
             Some(specs) if !specs.is_empty() => specs.len(),
             _ => return Err(CliError::Usage("--shards is required".into())),
@@ -548,11 +531,17 @@ fn cmd_shard_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
         .with_total_threads(total_flag)
         .with_retries(retries)
         .with_progress(progress);
+    let daemons = match connect_specs {
+        Some(specs) => Daemons::Connect(specs),
+        None => Daemons::Spawn(
+            std::env::current_exe()
+                .map_err(|e| CliError::run(format!("locating the tdals binary: {e}")))?,
+        ),
+    };
     let mut on_frame = |frame: &Json| {
         if let Some(stats) = frame.get("stats") {
-            // Per-shard stats summary (mode B, from daemons that speak
-            // the verb) — part of the merge report, so it prints
-            // whether or not --progress is set.
+            // Per-shard daemon stats summary: part of the merge report,
+            // so it prints whether or not --progress is set.
             let shard = frame.get("shard").and_then(Json::as_f64).unwrap_or(-1.0);
             let counter = |name: &str| {
                 stats
@@ -573,33 +562,19 @@ fn cmd_shard_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
             eprintln!("{}", frame.compact());
         }
     };
+    eprintln!(
+        "shard-batch: {} job(s) over {} shard(s) ({} policy), {}",
+        shard_plan.job_count(),
+        shard_plan.shard_count(),
+        policy,
+        match &daemons {
+            Daemons::Connect(specs) => format!("daemons {}", specs.join(", ")),
+            Daemons::Spawn(_) => "spawned daemons".into(),
+        }
+    );
     let trace = trace_path(opts);
-    let docs = match &connect_specs {
-        Some(specs) => {
-            eprintln!(
-                "shard-batch: {} job(s) over {} shard(s) ({} policy), daemons {}",
-                shard_plan.job_count(),
-                shard_plan.shard_count(),
-                policy,
-                specs.join(", ")
-            );
-            run_daemons(&manifest, &shard_plan, specs, &supervisor, &mut on_frame)
-        }
-        None => {
-            // Each worker is this very binary running `serve-batch` on
-            // its shard's sub-manifest.
-            let exe = std::env::current_exe()
-                .map_err(|e| CliError::run(format!("locating the tdals binary: {e}")))?;
-            eprintln!(
-                "shard-batch: {} job(s) over {} shard(s) ({} policy), serve-batch workers",
-                shard_plan.job_count(),
-                shard_plan.shard_count(),
-                policy
-            );
-            run_children(&manifest, &shard_plan, &exe, &supervisor, &mut on_frame)
-        }
-    }
-    .map_err(|e| CliError::run(e.to_string()))?;
+    let docs = run_shards(&manifest, &shard_plan, &daemons, &supervisor, &mut on_frame)
+        .map_err(|e| CliError::run(e.to_string()))?;
 
     let merged = {
         let _span = tdals::obs::trace::span(tdals::obs::trace::cat::PHASE, "merge")
@@ -621,12 +596,9 @@ fn cmd_shard_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let failed = Json::parse(&merged)
         .ok()
         .and_then(|doc| {
-            doc.get("results").and_then(Json::as_array).map(|records| {
-                records
-                    .iter()
-                    .filter(|r| r.get("status").and_then(Json::as_str) != Some("completed"))
-                    .count()
-            })
+            doc.get("results")
+                .and_then(Json::as_array)
+                .map(count_failed)
         })
         .unwrap_or(0);
     eprintln!(
@@ -641,6 +613,14 @@ fn cmd_shard_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
         )));
     }
     Ok(())
+}
+
+/// How many result records did not complete.
+fn count_failed(records: &[Json]) -> usize {
+    records
+        .iter()
+        .filter(|r| r.get("status").and_then(Json::as_str) != Some("completed"))
+        .count()
 }
 
 /// Prints one `--progress` line for the serving commands: a compact
@@ -689,30 +669,6 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Sends one request frame and reads the daemon's reply, turning error
-/// frames into typed run errors.
-fn roundtrip(conn: &mut Connection<Stream>, request: &Request) -> Result<Json, CliError> {
-    conn.send(&request.to_json())
-        .map_err(|e| CliError::run(format!("sending to daemon: {e}")))?;
-    let frame = match conn.receive() {
-        Ok(Some(frame)) => frame,
-        Ok(None) => return Err(CliError::run("daemon closed the connection")),
-        Err(e) => return Err(CliError::run(format!("reading from daemon: {e}"))),
-    };
-    if let Some((code, message)) = as_error(&frame) {
-        return Err(CliError::run(format!("daemon: {code}: {message}")));
-    }
-    Ok(frame)
-}
-
-fn reply_session_id(frame: &Json) -> Result<u64, CliError> {
-    frame
-        .get("session")
-        .and_then(Json::as_f64)
-        .map(|n| n as u64)
-        .ok_or_else(|| CliError::run("daemon reply is missing `session`"))
-}
-
 fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let spec = opts
         .get("connect")
@@ -749,92 +705,26 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), CliError> {
 
     let mut conn =
         Connection::new(connect_retry(spec, retries).map_err(|e| CliError::run(e.to_string()))?);
-
-    let mut sessions: Vec<(u64, String)> = Vec::with_capacity(jobs.len());
-    for job in &jobs {
-        let reply = roundtrip(
-            &mut conn,
-            &Request::Submit {
-                job: job.clone(),
-                tenant: tenant.clone(),
-            },
-        )?;
-        sessions.push((reply_session_id(&reply)?, job.name.clone()));
-    }
     if !jobs.is_empty() {
         eprintln!("submit: {} job(s) to {spec}", jobs.len());
     }
-
-    // Pump events and poll results until every session reports done.
-    // Events drain even without --progress so the daemon's buffers stay
-    // flat over long batches.
-    let mut records: Vec<Option<Json>> = vec![None; sessions.len()];
-    let mut statuses: Vec<Option<String>> = vec![None; sessions.len()];
-    loop {
-        let mut pending = false;
-        for (i, (id, name)) in sessions.iter().enumerate() {
-            if records[i].is_some() {
-                continue;
-            }
-            let events = roundtrip(&mut conn, &Request::Events { session: *id })?;
+    let rows = run_jobs(
+        &mut conn,
+        &jobs,
+        tenant.as_deref(),
+        None,
+        &mut |i, name, ev| {
             if progress {
-                if let Some(Json::Arr(items)) = events.get("events") {
-                    for ev in items {
-                        print_event_frame(i, name, ev.clone());
-                    }
-                }
+                print_event_frame(i, name, ev);
             }
-            let reply = roundtrip(
-                &mut conn,
-                &Request::Result {
-                    session: *id,
-                    wait: false,
-                },
-            )?;
-            if reply.get("done") == Some(&Json::Bool(true)) {
-                records[i] = reply.get("record").cloned();
-                statuses[i] = reply
-                    .get("status")
-                    .and_then(Json::as_str)
-                    .map(str::to_owned);
-                // One more drain: the events that landed between the
-                // last poll and the session finishing.
-                let events = roundtrip(&mut conn, &Request::Events { session: *id })?;
-                if progress {
-                    if let Some(Json::Arr(items)) = events.get("events") {
-                        for ev in items {
-                            print_event_frame(i, name, ev.clone());
-                        }
-                    }
-                }
-            } else {
-                pending = true;
-            }
-        }
-        if !pending {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+        },
+    )
+    .map_err(|e| CliError::run(e.to_string()))?;
 
-    let mut failed = 0usize;
+    let failed = count_failed(&rows);
     if !jobs.is_empty() {
-        // The daemon ships each record without its `job` index — the
-        // client knows its own submission order, so prepending it here
-        // reassembles a document byte-identical to `serve-batch`'s.
-        let rows: Vec<Json> = records
-            .into_iter()
-            .enumerate()
-            .map(|(i, record)| {
-                let mut members = vec![("job".to_owned(), Json::Num(i as f64))];
-                if let Some(Json::Obj(fields)) = record {
-                    members.extend(fields);
-                }
-                Json::Obj(members)
-            })
-            .collect();
-        let doc = results_document_from_records(rows);
-        let text = format!("{doc}\n");
+        let total = rows.len();
+        let text = format!("{}\n", results_document_from_records(rows));
         match opts.get("out") {
             Some(path) => {
                 fs::write(path, &text)
@@ -843,14 +733,9 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), CliError> {
             }
             None => print!("{text}"),
         }
-        let completed = statuses
-            .iter()
-            .filter(|s| s.as_deref() == Some("completed"))
-            .count();
-        failed = statuses.len() - completed;
         eprintln!(
-            "submit done: {completed} completed, {failed} failed of {} job(s)",
-            statuses.len()
+            "submit done: {} completed, {failed} failed of {total} job(s)",
+            total - failed
         );
     }
 
@@ -860,7 +745,7 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), CliError> {
         } else {
             Request::Drain
         };
-        let reply = roundtrip(&mut conn, &verb)?;
+        let reply = roundtrip(&mut conn, &verb).map_err(|e| CliError::run(e.to_string()))?;
         let count = reply.get("sessions").and_then(Json::as_f64).unwrap_or(0.0);
         eprintln!(
             "{}: {count} session(s) settled",
@@ -886,7 +771,7 @@ fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let retries = parse_num(opts, "retry", 0usize)?;
     let mut conn =
         Connection::new(connect_retry(spec, retries).map_err(|e| CliError::run(e.to_string()))?);
-    let reply = roundtrip(&mut conn, &Request::Stats)?;
+    let reply = roundtrip(&mut conn, &Request::Stats).map_err(|e| CliError::run(e.to_string()))?;
     println!("{reply}");
     Ok(())
 }

@@ -1,8 +1,8 @@
 //! Acceptance suite for the shard coordinator (`tdals::cluster` /
 //! `tdals shard-batch`).
 //!
-//! The headline contract: for any shard count and either worker mode,
-//! the merged results file is **byte-identical** to what
+//! The headline contract: for any shard count, on spawned or given
+//! daemons, the merged results file is **byte-identical** to what
 //! `tdals serve-batch` writes for the unsharded manifest. Everything
 //! else here defends the pieces that contract leans on: plan
 //! stability, shard-map validation, merge invariants, crash-restart
@@ -208,7 +208,7 @@ fn merge_rejects_count_schema_and_index_violations() {
 }
 
 // ---------------------------------------------------------------------
-// The headline: CLI byte-identity, mode A (spawned children)
+// The headline: CLI byte-identity on spawned daemons
 // ---------------------------------------------------------------------
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -314,8 +314,8 @@ fn shard_batch_children_are_byte_identical_to_serve_batch() {
 #[test]
 fn crashed_child_restarts_and_still_converges() {
     // Kill shard 1's first child right after spawn (the supervisor's
-    // own crash hook): the bounded restart re-runs the same shard
-    // manifest, and seed-driven determinism makes the merged file
+    // own crash hook): the bounded restart re-runs the same shard on a
+    // fresh daemon, and seed-driven determinism makes the merged file
     // byte-identical anyway.
     let dir = scratch_dir("crash");
     let manifest = write_manifest(&dir);
@@ -351,7 +351,7 @@ fn crashed_child_restarts_and_still_converges() {
 }
 
 // ---------------------------------------------------------------------
-// Mode B: driving running daemons
+// Given daemons: driving running `tdals serve` processes
 // ---------------------------------------------------------------------
 
 /// Spawns `tdals serve` on an ephemeral port and parses the bound
@@ -417,6 +417,123 @@ fn shard_batch_daemons_are_byte_identical_to_serve_batch() {
         std::fs::read_to_string(&out).expect("written"),
         solo,
         "daemon-backed run diverged from serve-batch"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A module instantiating a cell the library does not have: it parses
+/// as a manifest entry but fails as a flow, so its record is `failed`.
+const UNKNOWN_CELL_VERILOG: &str = "module bad (a, y);
+  input a;
+  output y;
+  BOGUSX1 u1 ( .Y(y), .A(a) );
+endmodule
+";
+
+#[test]
+fn failed_records_are_byte_identical_through_every_shard_path() {
+    let dir = scratch_dir("failed");
+    let bad = dir.join("bad.v");
+    std::fs::write(&bad, UNKNOWN_CELL_VERILOG).expect("write verilog");
+    let manifest = dir.join("jobs.json");
+    std::fs::write(
+        &manifest,
+        format!(
+            r#"{{"jobs": [
+  {{"circuit": "bench:Int2float", "name": "ok-a", "metric": "er", "bound": 0.05,
+   "method": "dcgwo", "population": 4, "iterations": 1, "vectors": 256, "seed": 3}},
+  {{"circuit": {}, "name": "bad", "metric": "er", "bound": 0.05,
+   "method": "dcgwo", "population": 4, "iterations": 1, "vectors": 256, "seed": 4}},
+  {{"circuit": "bench:Int2float", "name": "ok-b", "metric": "er", "bound": 0.05,
+   "method": "dcgwo", "population": 4, "iterations": 1, "vectors": 256, "seed": 5}}
+]}}"#,
+            Json::Str(bad.to_str().expect("utf8").to_owned())
+        ),
+    )
+    .expect("write manifest");
+    let manifest = manifest.to_str().expect("utf8");
+
+    // Every path exits nonzero for the failed job and still writes the
+    // whole results file.
+    let run = |args: &[&str], out: &str| {
+        let out = dir.join(out);
+        let run = tdals()
+            .args(args)
+            .args(["--manifest", manifest, "--out", out.to_str().expect("utf8")])
+            .output()
+            .expect("run tdals");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(
+            !run.status.success(),
+            "{args:?} must exit nonzero: {stderr}"
+        );
+        assert!(
+            stderr.contains("1 job(s) did not complete"),
+            "{args:?}: {stderr}"
+        );
+        std::fs::read_to_string(&out).expect("results written")
+    };
+    let solo = run(&["serve-batch", "--total-threads", "2"], "solo.json");
+    let spawned = run(&["shard-batch", "--shards", "2"], "spawned.json");
+    let (mut d1, spec1) = spawn_daemon();
+    let (mut d2, spec2) = spawn_daemon();
+    let given = run(
+        &["shard-batch", "--connect", &format!("{spec1},{spec2}")],
+        "given.json",
+    );
+    for daemon in [&mut d1, &mut d2] {
+        daemon.kill().ok();
+        daemon.wait().ok();
+    }
+    assert_eq!(spawned, solo, "spawned daemons diverged from serve-batch");
+    assert_eq!(given, solo, "given daemons diverged from serve-batch");
+
+    let doc = Json::parse(&solo).expect("results are JSON");
+    let statuses: Vec<&str> = doc
+        .get("results")
+        .and_then(Json::as_array)
+        .expect("results array")
+        .iter()
+        .map(|r| r.get("status").and_then(Json::as_str).expect("status"))
+        .collect();
+    assert_eq!(statuses, ["completed", "failed", "completed"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn timeout_kills_the_spawned_daemon_with_a_typed_error() {
+    // A Sqrt DCGWO flow with a huge iteration budget runs far longer
+    // than the 1 s limit: the shard must end with the typed timeout
+    // error and its child killed, not waited out.
+    let dir = scratch_dir("timeout");
+    let manifest = dir.join("jobs.json");
+    std::fs::write(
+        &manifest,
+        r#"{"jobs": [{"circuit": "bench:Sqrt", "name": "sqrt-long", "metric": "nmed",
+  "bound": 0.01, "method": "dcgwo", "population": 20, "iterations": 1000,
+  "vectors": 512, "seed": 7}]}"#,
+    )
+    .expect("write manifest");
+    let started = tdals::obs::clock::now();
+    let run = tdals()
+        .args([
+            "shard-batch",
+            "--manifest",
+            manifest.to_str().expect("utf8"),
+            "--shards",
+            "1",
+            "--timeout",
+            "1",
+        ])
+        .output()
+        .expect("run tdals shard-batch");
+    let elapsed = started.elapsed();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(!run.status.success(), "{stderr}");
+    assert!(stderr.contains("shard 0 timed out after 1s"), "{stderr}");
+    assert!(
+        elapsed < std::time::Duration::from_secs(10),
+        "took {elapsed:?}: {stderr}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

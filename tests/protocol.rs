@@ -23,8 +23,8 @@ use tdals::core::api::{FlowEvent, FnObserver, StopReason};
 use tdals::core::{IterationStats, PostOptReport};
 use tdals::server::{
     as_error, error_frame, event_from_json, event_to_json, read_frame, results_document,
-    results_document_from_records, session_record_fields, Connection, Daemon, DaemonConfig,
-    ErrorCode, FlowJob, FrameError, JobBudget, Request,
+    results_document_from_records, roundtrip, run_jobs, session_record_fields, ClientError,
+    Connection, Daemon, DaemonConfig, ErrorCode, FlowJob, FrameError, JobBudget, Request,
 };
 use tdals::sim::ErrorMetric;
 use tdals_bench::json::Json;
@@ -772,6 +772,86 @@ fn socket_disconnect_leaks_no_slots_and_quota_spans_connections() {
         "{health}"
     );
 
+    let bye = call(&mut conn, &Request::Shutdown);
+    assert_eq!(code_of(&bye), None);
+    drop(conn);
+    server.join().expect("serve thread exits cleanly");
+}
+
+#[test]
+fn socket_run_jobs_reassembles_the_serve_batch_document() {
+    let (spec, server) = start_daemon(DaemonConfig::new(2));
+    let jobs = [
+        quick_job(11).with_name("a".to_owned()),
+        quick_job(7)
+            .with_method(tdals::baselines::Method::Hedals)
+            .with_name("b".to_owned()),
+    ];
+    let mut conn = client(&spec);
+    let mut seen = vec![0usize; jobs.len()];
+    let rows = run_jobs(&mut conn, &jobs, None, None, &mut |i, name, event| {
+        assert_eq!(name, jobs[i].name);
+        event_from_json(&event).expect("a well-formed event frame");
+        seen[i] += 1;
+    })
+    .expect("batch runs");
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "every session streamed: {seen:?}"
+    );
+
+    let solo: Vec<Result<_, tdals::server::SessionError>> = jobs
+        .iter()
+        .map(|j| j.run_direct(1).map_err(tdals::server::SessionError::Flow))
+        .collect();
+    assert_eq!(
+        results_document_from_records(rows).to_string(),
+        results_document(jobs.iter().zip(solo.iter())).to_string()
+    );
+
+    // An error frame is typed, and so is a deadline that has passed.
+    let zero = [quick_job(1).with_threads(0)];
+    let err = run_jobs(&mut conn, &zero, None, None, &mut |_, _, _| {})
+        .expect_err("zero threads are inadmissible");
+    assert!(matches!(err, ClientError::Daemon { .. }), "{err}");
+    let past = Some(tdals::obs::clock::now());
+    let err = run_jobs(&mut conn, &[quick_job(2)], None, past, &mut |_, _, _| {})
+        .expect_err("deadline already passed");
+    assert_eq!(err, ClientError::TimedOut);
+
+    let bye = roundtrip(&mut conn, &Request::Shutdown);
+    assert!(bye.is_ok(), "{bye:?}");
+    drop(conn);
+    server.join().expect("serve thread exits cleanly");
+}
+
+#[test]
+fn socket_deeply_nested_frame_is_a_bad_frame_not_an_abort() {
+    // One line of 100,000 `[` fits the default frame limit; decoding it
+    // must end in the parser's nesting cap, not a stack overflow that
+    // aborts the daemon and every tenant's sessions with it.
+    let (spec, server) = start_daemon(DaemonConfig::new(1));
+    let stream = TcpStream::connect(&spec).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut deep = vec![b'['; 100_000];
+    deep.push(b'\n');
+    writer.write_all(&deep).expect("write");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read");
+    let reply = Json::parse(line.trim_end()).expect("error frame parses");
+    assert_eq!(code_of(&reply), Some("bad-frame"), "{reply}");
+
+    writer
+        .write_all(format!("{}\n", Request::Health.to_json().compact()).as_bytes())
+        .expect("write");
+    line.clear();
+    reader.read_line(&mut line).expect("read");
+    let reply = Json::parse(line.trim_end()).expect("health frame parses");
+    assert_eq!(reply.get("ok").and_then(Json::as_str), Some("health"));
+    drop((writer, reader));
+
+    let mut conn = client(&spec);
     let bye = call(&mut conn, &Request::Shutdown);
     assert_eq!(code_of(&bye), None);
     drop(conn);

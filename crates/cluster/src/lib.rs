@@ -33,7 +33,9 @@
 //! ```
 //! use tdals_circuits::Benchmark;
 //! use tdals_cluster::{merge, plan, ShardPolicy};
-//! use tdals_server::{BatchOptions, BatchRun, FlowJob, Manifest};
+//! use tdals_server::{
+//!     results_document_from_records, run_jobs, Daemon, DaemonConfig, FlowJob, Manifest,
+//! };
 //!
 //! let jobs: Vec<FlowJob> = [3u64, 5, 7]
 //!     .iter()
@@ -49,21 +51,21 @@
 //! let manifest = Manifest::new(jobs);
 //! let plan = plan(&manifest, 2, ShardPolicy::RoundRobin).expect("plannable");
 //!
-//! // Run each shard through the batch engine in-process (the supervisor
-//! // runs each on its own daemon instead; the records are the same).
-//! let opts = BatchOptions::new().with_total_threads(1);
+//! // Run a manifest on a daemon in this process (the supervisor runs
+//! // each shard on its own daemon process instead; the records are the
+//! // same).
+//! let run = |m: &Manifest| {
+//!     let daemon = Daemon::new(DaemonConfig::new(1)).unwrap();
+//!     let rows = run_jobs(&mut |r| daemon.call(r), &m.jobs, None, None, &mut |_, _, _| {});
+//!     format!("{}\n", results_document_from_records(rows.unwrap()))
+//! };
 //! let docs: Vec<String> = (0..plan.shard_count())
-//!     .map(|s| {
-//!         let run = BatchRun::prepare(&plan.manifest_for(&manifest, s), &opts).unwrap();
-//!         format!("{}\n", run.run(&mut |_, _, _| {}).unwrap().document())
-//!     })
+//!     .map(|s| run(&plan.manifest_for(&manifest, s)))
 //!     .collect();
 //! let merged = merge(&plan, &docs).expect("merges");
 //!
 //! // Byte-identical to the unsharded run.
-//! let solo = BatchRun::prepare(&manifest, &opts).unwrap();
-//! let solo_doc = format!("{}\n", solo.run(&mut |_, _, _| {}).unwrap().document());
-//! assert_eq!(merged, solo_doc);
+//! assert_eq!(merged, run(&manifest));
 //! ```
 
 #![warn(missing_docs)]

@@ -9,8 +9,8 @@
 //! tests). So parsing each shard document, rewriting each record's
 //! local index to the global one the [`ShardPlan`] recorded, and
 //! reprinting in global order reproduces exactly the bytes the
-//! unsharded batch run ([`BatchRun`](tdals_server::BatchRun)) writes for
-//! the whole manifest.
+//! unsharded batch run ([`run_jobs`](tdals_server::run_jobs) over the
+//! whole manifest) writes.
 
 use tdals_bench::json::Json;
 use tdals_server::results_document_from_records;

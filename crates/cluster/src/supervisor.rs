@@ -273,7 +273,7 @@ impl Shard<'_> {
     fn drive(&self, conn: &mut Connection<Stream>) -> Result<String, ClientError> {
         let progress = self.opts.progress;
         let rows = run_jobs(
-            conn,
+            &mut |request| roundtrip(conn, request),
             &self.jobs,
             None,
             self.deadline,

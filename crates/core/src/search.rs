@@ -4,7 +4,7 @@
 
 use rand::Rng;
 use tdals_netlist::Netlist;
-use tdals_sim::{DeltaSim, SimWords};
+use tdals_sim::SimWords;
 
 use crate::fitness::EvalContext;
 use crate::lac::{collect_targets, select_switch, Lac};
@@ -72,12 +72,10 @@ pub fn propose_lac_with<R: Rng, V: SimWords>(
 
 /// Applies one circuit-searching step to `netlist`, returning the LAC
 /// that was applied (or `None` when the circuit offers no target, e.g.
-/// all outputs constant).
-///
-/// This is the full-resimulation convenience wrapper around
-/// [`propose_lac`]; the optimizer's hot path goes through
-/// [`search_step_delta`] instead.
-pub fn search_step<R: Rng>(
+/// all outputs constant). A full-resimulation test helper around
+/// [`propose_lac`].
+#[cfg(test)]
+pub(crate) fn search_step<R: Rng>(
     ctx: &EvalContext,
     netlist: &mut Netlist,
     cfg: &SearchConfig,
@@ -86,22 +84,6 @@ pub fn search_step<R: Rng>(
     let sim = ctx.simulate(netlist);
     let lac = propose_lac(ctx, netlist, &sim, cfg, rng)?;
     lac.apply(netlist)
-        .expect("TFI-drawn switches respect the id invariant");
-    Some(lac)
-}
-
-/// One circuit-searching step on an incremental simulation state: the
-/// LAC is proposed from the engine's current words (no full
-/// re-simulation) and committed through the engine's O(cone) update.
-pub fn search_step_delta<R: Rng>(
-    ctx: &EvalContext,
-    delta: &mut DeltaSim,
-    cfg: &SearchConfig,
-    rng: &mut R,
-) -> Option<Lac> {
-    let lac = propose_lac(ctx, delta.netlist(), delta, cfg, rng)?;
-    delta
-        .substitute(lac.target(), lac.switch())
         .expect("TFI-drawn switches respect the id invariant");
     Some(lac)
 }

@@ -8,16 +8,18 @@
 //! ([`ErrorCode::QuotaExceeded`]), graceful drain (stop admitting,
 //! finish in-flight work, keep serving results), and a health endpoint.
 //!
-//! Determinism carries through: a session record served over the wire
-//! is field-for-field the record `tdals serve-batch` writes
+//! Determinism carries through: every session record is built here
 //! ([`session_record_fields`]), so a client that prepends its own
-//! submission indices reassembles a byte-identical results document —
-//! the property the CI daemon-soak job diffs.
+//! submission indices reassembles the same results document whether
+//! the daemon runs in-process (`serve-batch`) or behind a socket
+//! (`submit`, `shard-batch`) — the property the CI daemon-soak job
+//! diffs.
 //!
 //! [`Daemon::handle`] is transport-free (a request frame in, a response
 //! frame out), so the whole verb surface is unit-testable without
-//! sockets; [`Daemon::serve`] adds the accept loop, one thread per
-//! connection.
+//! sockets, and `tdals serve-batch` runs a daemon in its own process
+//! through [`Daemon::call`]; [`Daemon::serve`] adds the accept loop, one
+//! thread per connection.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -29,6 +31,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use tdals_bench::json::Json;
 
+use crate::client::{check_reply, ClientError};
 use crate::job::{session_record_fields, u64_to_json, FlowJob};
 use crate::protocol::{error_frame, event_to_json, Connection, ErrorCode, FrameError, Request};
 use crate::protocol::{DEFAULT_MAX_FRAME_LEN, PROTOCOL_SCHEMA};
@@ -141,6 +144,8 @@ impl SessionEntry {
 struct Registry {
     next_id: u64,
     sessions: BTreeMap<u64, SessionEntry>,
+    /// How many `sessions` entries are `Live`.
+    live: usize,
 }
 
 struct DaemonState {
@@ -191,6 +196,7 @@ impl Daemon {
                 registry: Mutex::new(Registry {
                     next_id: 0,
                     sessions: BTreeMap::new(),
+                    live: 0,
                 }),
                 draining: AtomicBool::new(false),
                 stop: AtomicBool::new(false),
@@ -208,11 +214,22 @@ impl Daemon {
         self.state.stop.load(Ordering::SeqCst)
     }
 
+    /// Reaps finished sessions ([`Daemon::reap_finished`]) once any
+    /// has left the scheduler. Called before every read so the
+    /// registry's live count tracks the scheduler. A session leaves
+    /// the scheduler's active count only after publishing its result,
+    /// so while every live entry is still active there is nothing to
+    /// reap, and a poll does not scan the whole registry for nothing.
+    fn reap(&self, registry: &mut Registry) {
+        if self.scheduler.active_sessions() < registry.live {
+            self.reap_finished(registry);
+        }
+    }
+
     /// Converts every finished `Live` entry to `Done`: builds its wire
     /// record, drains its remaining events, and drops its handle (and
-    /// with it the outcome's netlists). Called before every read so the
-    /// registry's live count tracks the scheduler.
-    fn reap(&self, registry: &mut Registry) {
+    /// with it the outcome's netlists).
+    fn reap_finished(&self, registry: &mut Registry) {
         let finished: Vec<u64> = registry
             .sessions
             .iter()
@@ -221,6 +238,7 @@ impl Daemon {
                 SessionEntry::Done { .. } => None,
             })
             .collect();
+        registry.live -= finished.len();
         for id in finished {
             tdals_obs::metrics().sessions_reaped.incr();
             let Some(SessionEntry::Live {
@@ -274,13 +292,25 @@ impl Daemon {
         }
     }
 
+    /// Sends one request to this daemon in-process: the socket-free
+    /// twin of [`roundtrip`](crate::roundtrip), with the same error-frame
+    /// rule, so [`run_jobs`](crate::run_jobs) can drive a daemon without
+    /// a socket.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Daemon`] for an error frame.
+    pub fn call(&self, request: &Request) -> Result<Json, ClientError> {
+        check_reply(self.handle(&request.to_json()))
+    }
+
     fn submit(&self, mut job: FlowJob, tenant: Option<String>) -> Json {
         if self.is_draining() {
             return error_frame(ErrorCode::Draining, "daemon is draining; no new work");
         }
         let mut registry = self.state.registry();
         self.reap(&mut registry);
-        let live = registry.sessions.values().filter(|e| e.is_live()).count();
+        let live = registry.live;
         if live >= self.config.max_sessions {
             return error_frame(
                 ErrorCode::QueueFull,
@@ -319,6 +349,7 @@ impl Daemon {
         };
         let id = registry.next_id;
         registry.next_id += 1;
+        registry.live += 1;
         registry.sessions.insert(
             id,
             SessionEntry::Live {
@@ -399,7 +430,9 @@ impl Daemon {
                 drop(registry);
                 let _ = waiter.result();
                 registry = self.state.registry();
-                self.reap(&mut registry);
+                // The result is published, but the session may not
+                // have left the scheduler's active count yet.
+                self.reap_finished(&mut registry);
             }
         }
         let Some(SessionEntry::Done { status, record, .. }) = registry.sessions.get(&id) else {

@@ -36,14 +36,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod client;
 pub mod daemon;
 pub mod job;
 pub mod protocol;
 pub mod scheduler;
 
-pub use batch::{BatchOptions, BatchReport, BatchRun};
 pub use client::{roundtrip, run_jobs, ClientError};
 pub use daemon::{connect, connect_retry, ConnectError, Daemon, DaemonConfig, Listener, Stream};
 pub use job::{

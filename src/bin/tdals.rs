@@ -48,9 +48,9 @@ use tdals::cluster::{merge, plan, run_shards, Daemons, ShardPolicy, SupervisorOp
 use tdals::core::api::{FlowEvent, FnObserver};
 use tdals::netlist::{verilog, Netlist};
 use tdals::server::{
-    check_bound, connect_retry, event_to_json, parse_worker_count, results_document_from_records,
-    roundtrip, run_jobs, BatchOptions, BatchRun, Connection, Daemon, DaemonConfig, FlowJob,
-    Listener, Manifest, Request, PROTOCOL_SCHEMA,
+    check_bound, connect_retry, parse_worker_count, results_document_from_records, roundtrip,
+    run_jobs, ClientError, Connection, Daemon, DaemonConfig, FlowJob, Listener, Manifest, Request,
+    PROTOCOL_SCHEMA,
 };
 use tdals::sim::ErrorMetric;
 use tdals::sta::{analyze, critical_path, TimingConfig};
@@ -175,10 +175,14 @@ fn benchmark_by_name(name: &str) -> Result<Benchmark, CliError> {
 }
 
 fn write_output(opts: &HashMap<String, String>, netlist: &Netlist) -> Result<(), CliError> {
-    let text = verilog::to_verilog(netlist);
-    match opts.get("output") {
+    write_text(opts.get("output"), &verilog::to_verilog(netlist))
+}
+
+/// Writes `text` to `path`, or to stdout when no path was given.
+fn write_text(path: Option<&String>, text: &str) -> Result<(), CliError> {
+    match path {
         Some(path) => {
-            fs::write(path, &text).map_err(|e| CliError::run(format!("writing {path}: {e}")))?;
+            fs::write(path, text).map_err(|e| CliError::run(format!("writing {path}: {e}")))?;
             eprintln!("wrote {path}");
         }
         None => print!("{text}"),
@@ -408,6 +412,34 @@ fn parse_positive(opts: &HashMap<String, String>, key: &str) -> Result<Option<us
         .map_err(|msg| CliError::run(format!("--{key}: {msg}")))
 }
 
+/// `serve-batch`'s pool shape, as `(total slots, per-session cap)`: the
+/// total is `--total-threads`, else the manifest's hint, else the core
+/// count; the cap is `--session-threads`, else an even static split
+/// across the batch widened to the largest per-job `threads` hint
+/// (hints are clamped to the pool).
+fn pool_shape(
+    manifest: &Manifest,
+    total_flag: Option<usize>,
+    session_flag: Option<usize>,
+) -> (usize, usize) {
+    let total = total_flag
+        .or(manifest.total_threads)
+        .unwrap_or_else(tdals::core::par::available_threads)
+        .max(1);
+    let session_cap = session_flag.unwrap_or_else(|| {
+        let concurrency = manifest.jobs.len().min(total).max(1);
+        let hinted = manifest
+            .jobs
+            .iter()
+            .filter_map(|j| j.threads)
+            .map(|t| t.min(total))
+            .max()
+            .unwrap_or(1);
+        total.div_ceil(concurrency).max(hinted).min(total)
+    });
+    (total, session_cap)
+}
+
 fn cmd_serve_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let manifest_path = opts
         .get("manifest")
@@ -416,63 +448,81 @@ fn cmd_serve_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
     // the manifest is absent or broken.
     let total_flag = parse_positive(opts, "total-threads")?;
     let session_flag = parse_positive(opts, "session-threads")?;
-    let text = fs::read_to_string(manifest_path)
-        .map_err(|e| CliError::run(format!("reading {manifest_path}: {e}")))?;
-    let manifest = Manifest::parse(&text, &|path| {
-        fs::read_to_string(path).map_err(|e| e.to_string())
-    })
-    .map_err(|e| CliError::run(e.to_string()))?;
-    let progress = opts.contains_key("progress");
+    let manifest = read_manifest(manifest_path)?;
 
-    // The engine lives in tdals-server::batch — the same code path each
-    // shard-batch worker process runs, which is what makes a sharded
-    // run's merged results file byte-identical to this one. It
-    // validates the whole batch before running any of it: a manifest
-    // with one inadmissible job never produces a partial results file.
-    let run = BatchRun::prepare(
-        &manifest,
-        &BatchOptions::new()
-            .with_total_threads(total_flag)
-            .with_session_threads(session_flag),
+    // A daemon in this process, driven by the same client loop as
+    // `submit` and `shard-batch`: the three commands' results files
+    // agree by construction. It admits the whole batch at once.
+    let (total, session_cap) = pool_shape(&manifest, total_flag, session_flag);
+    let daemon = Daemon::new(
+        DaemonConfig::new(total)
+            .with_session_cap(session_cap)
+            .with_max_sessions(manifest.jobs.len()),
     )
     .map_err(|e| CliError::run(e.to_string()))?;
     eprintln!(
-        "serve-batch: {} job(s) over {} worker slot(s), {} per session",
-        run.jobs.len(),
-        run.total_threads,
-        run.session_cap
+        "serve-batch: {} job(s) over {total} worker slot(s), {session_cap} per session",
+        manifest.jobs.len()
     );
 
-    // Pump per-session event streams to stderr until every session is
-    // done; results land in submission order whatever order they finish.
     let trace = trace_path(opts);
-    let report = run
-        .run(&mut |i, name, ev| {
-            if progress {
-                print_event_frame(i, name, event_to_json(ev));
-            }
-        })
+    let failed = run_batch(opts, "serve-batch", &manifest.jobs, None, &mut |request| {
+        daemon.call(request)
+    })?;
+    // Let every session thread wind down, so the trace holds its spans.
+    daemon
+        .call(&Request::Drain)
         .map_err(|e| CliError::run(e.to_string()))?;
     write_trace(trace)?;
+    batch_exit(failed)
+}
 
-    let text = format!("{}\n", report.document());
-    match opts.get("out") {
-        Some(path) => {
-            fs::write(path, &text).map_err(|e| CliError::run(format!("writing {path}: {e}")))?;
-            eprintln!("wrote {path}");
+/// Reads and parses a manifest, resolving circuit file paths to inline
+/// Verilog (the daemon reads no files).
+fn read_manifest(path: &str) -> Result<Manifest, CliError> {
+    let text =
+        fs::read_to_string(path).map_err(|e| CliError::run(format!("reading {path}: {e}")))?;
+    Manifest::parse(&text, &|p| fs::read_to_string(p).map_err(|e| e.to_string()))
+        .map_err(|e| CliError::run(e.to_string()))
+}
+
+/// Runs `jobs` through `send` (a daemon in this process, or one behind
+/// a socket), streams `--progress` frames, writes the results document
+/// to `--out` (or stdout) and prints the `<command> done` tally. Returns
+/// how many jobs did not complete.
+fn run_batch(
+    opts: &HashMap<String, String>,
+    command: &str,
+    jobs: &[FlowJob],
+    tenant: Option<&str>,
+    send: &mut dyn FnMut(&Request) -> Result<Json, ClientError>,
+) -> Result<usize, CliError> {
+    let progress = opts.contains_key("progress");
+    let rows = run_jobs(send, jobs, tenant, None, &mut |i, name, ev| {
+        if progress {
+            print_event_frame(i, name, ev);
         }
-        None => print!("{text}"),
-    }
+    })
+    .map_err(|e| CliError::run(e.to_string()))?;
+    let failed = count_failed(&rows);
+    let total = rows.len();
+    write_text(
+        opts.get("out"),
+        &format!("{}\n", results_document_from_records(rows)),
+    )?;
     eprintln!(
-        "serve-batch done: {} completed, {} failed of {} job(s)",
-        report.completed,
-        report.failed,
-        report.results.len()
+        "{command} done: {} completed, {failed} failed of {total} job(s)",
+        total - failed
     );
-    if report.failed > 0 {
+    Ok(failed)
+}
+
+/// The batch commands' exit contract: failed jobs are *in* the
+/// deterministic results file, and the command exits nonzero.
+fn batch_exit(failed: usize) -> Result<(), CliError> {
+    if failed > 0 {
         return Err(CliError::run(format!(
-            "{} job(s) did not complete (see the results file)",
-            report.failed
+            "{failed} job(s) did not complete (see the results file)"
         )));
     }
     Ok(())
@@ -512,12 +562,7 @@ fn cmd_shard_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let retries = parse_num(opts, "retry", 0usize)?;
     let progress = opts.contains_key("progress");
 
-    let text = fs::read_to_string(manifest_path)
-        .map_err(|e| CliError::run(format!("reading {manifest_path}: {e}")))?;
-    let manifest = Manifest::parse(&text, &|path| {
-        fs::read_to_string(path).map_err(|e| e.to_string())
-    })
-    .map_err(|e| CliError::run(e.to_string()))?;
+    let manifest = read_manifest(manifest_path)?;
 
     let shard_plan = plan(&manifest, shards, policy).map_err(|e| CliError::run(e.to_string()))?;
     if let Some(path) = opts.get("shard-map") {
@@ -583,16 +628,8 @@ fn cmd_shard_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
     };
     write_trace(trace)?;
     let merged = merged.map_err(|e| CliError::run(e.to_string()))?;
-    match opts.get("out") {
-        Some(path) => {
-            fs::write(path, &merged).map_err(|e| CliError::run(format!("writing {path}: {e}")))?;
-            eprintln!("wrote {path}");
-        }
-        None => print!("{merged}"),
-    }
+    write_text(opts.get("out"), &merged)?;
 
-    // Same exit contract as serve-batch: failed jobs are *in* the
-    // deterministic results file, and the command exits nonzero.
     let failed = Json::parse(&merged)
         .ok()
         .and_then(|doc| {
@@ -607,12 +644,7 @@ fn cmd_shard_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
         shard_plan.job_count(),
         shard_plan.shard_count()
     );
-    if failed > 0 {
-        return Err(CliError::run(format!(
-            "{failed} job(s) did not complete (see the results file)"
-        )));
-    }
-    Ok(())
+    batch_exit(failed)
 }
 
 /// How many result records did not complete.
@@ -682,7 +714,6 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), CliError> {
         ));
     }
     let tenant = opts.get("tenant").cloned();
-    let progress = opts.contains_key("progress");
     // Dial retries are opt-in (default 0): an absent daemon should fail
     // fast with the typed connection-refused error unless the caller is
     // deliberately racing a daemon that is still binding its socket
@@ -690,53 +721,21 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let retries = parse_num(opts, "retry", 0usize)?;
 
     // Parse (and resolve circuit files to inline Verilog) before
-    // dialing: a broken manifest never opens a socket, and the daemon
-    // itself reads no files.
-    let jobs: Vec<FlowJob> = match manifest_path {
-        None => Vec::new(),
-        Some(path) => {
-            let text = fs::read_to_string(path)
-                .map_err(|e| CliError::run(format!("reading {path}: {e}")))?;
-            Manifest::parse(&text, &|p| fs::read_to_string(p).map_err(|e| e.to_string()))
-                .map_err(|e| CliError::run(e.to_string()))?
-                .jobs
-        }
-    };
+    // dialing: a broken manifest never opens a socket.
+    let manifest = manifest_path.map(|path| read_manifest(path)).transpose()?;
 
     let mut conn =
         Connection::new(connect_retry(spec, retries).map_err(|e| CliError::run(e.to_string()))?);
-    if !jobs.is_empty() {
-        eprintln!("submit: {} job(s) to {spec}", jobs.len());
-    }
-    let rows = run_jobs(
-        &mut conn,
-        &jobs,
-        tenant.as_deref(),
-        None,
-        &mut |i, name, ev| {
-            if progress {
-                print_event_frame(i, name, ev);
-            }
-        },
-    )
-    .map_err(|e| CliError::run(e.to_string()))?;
-
-    let failed = count_failed(&rows);
-    if !jobs.is_empty() {
-        let total = rows.len();
-        let text = format!("{}\n", results_document_from_records(rows));
-        match opts.get("out") {
-            Some(path) => {
-                fs::write(path, &text)
-                    .map_err(|e| CliError::run(format!("writing {path}: {e}")))?;
-                eprintln!("wrote {path}");
-            }
-            None => print!("{text}"),
-        }
-        eprintln!(
-            "submit done: {} completed, {failed} failed of {total} job(s)",
-            total - failed
-        );
+    let mut failed = 0;
+    if let Some(manifest) = &manifest {
+        eprintln!("submit: {} job(s) to {spec}", manifest.jobs.len());
+        failed = run_batch(
+            opts,
+            "submit",
+            &manifest.jobs,
+            tenant.as_deref(),
+            &mut |request| roundtrip(&mut conn, request),
+        )?;
     }
 
     if drain || shutdown {
@@ -752,12 +751,7 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<(), CliError> {
             if shutdown { "shutdown" } else { "drain" }
         );
     }
-    if failed > 0 {
-        return Err(CliError::run(format!(
-            "{failed} job(s) did not complete (see the results file)"
-        )));
-    }
-    Ok(())
+    batch_exit(failed)
 }
 
 /// `tdals stats --connect <addr>`: one `stats` round-trip against a

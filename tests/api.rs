@@ -46,7 +46,7 @@ fn event_iteration(ev: &FlowEvent) -> Option<usize> {
 
 #[test]
 fn all_five_methods_run_through_the_shared_trait() {
-    // The acceptance criterion in miniature: one EvalContext, one Flow
+    // The acceptance check in miniature: one EvalContext, one Flow
     // shape, five optimizers, one FlowOutcome type.
     let ctx = quick_ctx(42);
     let cfg = quick_cfg(5);

@@ -296,6 +296,35 @@ fn serve_batch_rejects_bad_manifests_without_usage_dump() {
                       "method": "dcgwo", "threads": 0}]}"#,
         "0 worker threads",
     );
+
+    // Whole batch or nothing: an inadmissible *second* job fails the
+    // command before any results file is written.
+    std::fs::write(
+        &path,
+        r#"{"jobs": [{"circuit": "bench:Int2float", "metric": "er", "bound": 0.05,
+                      "method": "dcgwo", "population": 4, "iterations": 1,
+                      "vectors": 256},
+                     {"circuit": "bench:Max16", "name": "late-zero", "metric": "er",
+                      "bound": 0.05, "method": "dcgwo", "threads": 0}]}"#,
+    )
+    .expect("write manifest");
+    let results = dir.join("results.json");
+    let out = tdals()
+        .args([
+            "serve-batch",
+            "--manifest",
+            path.to_str().expect("utf8"),
+            "--out",
+            results.to_str().expect("utf8"),
+        ])
+        .output()
+        .expect("run tdals serve-batch");
+    assert!(!out.status.success(), "a late inadmissible job must fail");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("late-zero"), "names the job: {err}");
+    assert!(err.contains("0 worker threads"), "{err}");
+    assert!(!err.contains("usage:"), "no usage dump: {err}");
+    assert!(!results.exists(), "no partial results file");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -234,7 +234,7 @@ fn flow_threads_knob_matches_config_knob() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Randomized corner of the acceptance criterion: any method, any
+    /// Randomized corner of the acceptance check: any method, any
     /// seed, 1 worker vs 4 workers — the digests are equal.
     #[test]
     fn equivalence_holds_for_random_seeds(seed in 0u64..1000, method_idx in 0usize..5) {

@@ -789,11 +789,17 @@ fn socket_run_jobs_reassembles_the_serve_batch_document() {
     ];
     let mut conn = client(&spec);
     let mut seen = vec![0usize; jobs.len()];
-    let rows = run_jobs(&mut conn, &jobs, None, None, &mut |i, name, event| {
-        assert_eq!(name, jobs[i].name);
-        event_from_json(&event).expect("a well-formed event frame");
-        seen[i] += 1;
-    })
+    let rows = run_jobs(
+        &mut |r| roundtrip(&mut conn, r),
+        &jobs,
+        None,
+        None,
+        &mut |i, name, event| {
+            assert_eq!(name, jobs[i].name);
+            event_from_json(&event).expect("a well-formed event frame");
+            seen[i] += 1;
+        },
+    )
     .expect("batch runs");
     assert!(
         seen.iter().all(|&n| n > 0),
@@ -811,12 +817,24 @@ fn socket_run_jobs_reassembles_the_serve_batch_document() {
 
     // An error frame is typed, and so is a deadline that has passed.
     let zero = [quick_job(1).with_threads(0)];
-    let err = run_jobs(&mut conn, &zero, None, None, &mut |_, _, _| {})
-        .expect_err("zero threads are inadmissible");
+    let err = run_jobs(
+        &mut |r| roundtrip(&mut conn, r),
+        &zero,
+        None,
+        None,
+        &mut |_, _, _| {},
+    )
+    .expect_err("zero threads are inadmissible");
     assert!(matches!(err, ClientError::Daemon { .. }), "{err}");
     let past = Some(tdals::obs::clock::now());
-    let err = run_jobs(&mut conn, &[quick_job(2)], None, past, &mut |_, _, _| {})
-        .expect_err("deadline already passed");
+    let err = run_jobs(
+        &mut |r| roundtrip(&mut conn, r),
+        &[quick_job(2)],
+        None,
+        past,
+        &mut |_, _, _| {},
+    )
+    .expect_err("deadline already passed");
     assert_eq!(err, ClientError::TimedOut);
 
     let bye = roundtrip(&mut conn, &Request::Shutdown);

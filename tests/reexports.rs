@@ -19,9 +19,9 @@ use tdals::netlist::builder::Builder;
 use tdals::netlist::cell::{Cell, CellFunc, Drive};
 use tdals::netlist::{verilog, GateId, Netlist, SignalRef};
 use tdals::server::{
-    error_frame, event_from_json, event_to_json, BatchOptions, BatchRun, Connection, Daemon,
-    DaemonConfig, ErrorCode, FlowJob, FrameError, JobBudget, Manifest, Request, Scheduler,
-    SchedulerConfig, ServerError, SessionStatus, DEFAULT_MAX_FRAME_LEN, PROTOCOL_SCHEMA,
+    error_frame, event_from_json, event_to_json, results_document_from_records, run_jobs,
+    Connection, Daemon, DaemonConfig, ErrorCode, FlowJob, FrameError, JobBudget, Manifest, Request,
+    Scheduler, SchedulerConfig, ServerError, SessionStatus, DEFAULT_MAX_FRAME_LEN, PROTOCOL_SCHEMA,
 };
 use tdals::sim::{
     simulate, simulate_with_width, ErrorMetric, ParseSimdWidthError, Patterns, SimdWidth,
@@ -283,24 +283,24 @@ fn cluster_surface_resolves() {
     let round_trip = ShardPlan::from_json(&shard_plan.to_json()).expect("map round-trips");
     assert_eq!(round_trip, shard_plan);
 
-    let opts = BatchOptions::new().with_total_threads(1);
+    // Each shard (and the solo run) on a daemon in this process.
+    let run = |m: &Manifest| {
+        let daemon = Daemon::new(DaemonConfig::new(1)).expect("daemon");
+        let rows = run_jobs(
+            &mut |r| daemon.call(r),
+            &m.jobs,
+            None,
+            None,
+            &mut |_, _, _| {},
+        )
+        .expect("batch runs");
+        format!("{}\n", results_document_from_records(rows))
+    };
     let docs: Vec<String> = (0..shard_plan.shard_count())
-        .map(|s| {
-            let run = BatchRun::prepare(&shard_plan.manifest_for(&manifest, s), &opts)
-                .expect("shard prepares");
-            format!(
-                "{}\n",
-                run.run(&mut |_, _, _| {}).expect("shard runs").document()
-            )
-        })
+        .map(|s| run(&shard_plan.manifest_for(&manifest, s)))
         .collect();
     let merged = merge(&shard_plan, &docs).expect("merges");
-
-    let solo = BatchRun::prepare(&manifest, &opts).expect("solo prepares");
-    let solo_doc = format!(
-        "{}\n",
-        solo.run(&mut |_, _, _| {}).expect("solo runs").document()
-    );
+    let solo_doc = run(&manifest);
     assert_eq!(merged, solo_doc);
 }
 

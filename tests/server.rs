@@ -615,7 +615,7 @@ fn tdals() -> Command {
 
 #[test]
 fn serve_batch_cli_output_is_byte_identical_across_pool_widths() {
-    // The acceptance criterion's CLI face: the same manifest at
+    // The acceptance check's CLI face: the same manifest at
     // --total-threads 1 vs 4 produces byte-identical results files.
     let dir = std::env::temp_dir().join(format!("tdals-serve-batch-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");

@@ -226,7 +226,7 @@ fn deterministic_budgets_stop_identically_at_any_width() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Randomized corner of the acceptance criterion: any method, any
+    /// Randomized corner of the acceptance check: any method, any
     /// seed, scalar sequential vs widest-kernel 4-worker — the digests
     /// are equal.
     #[test]

@@ -118,7 +118,7 @@ pub fn greedy_area_session(
         // from the round's shared RNG stream in the exact order the
         // sequential loop used — nothing here depends on a candidate's
         // evaluation, so the stream is thread-count-independent.
-        let mut drafts: Vec<Lac> = Vec::with_capacity(cfg.candidates_per_round);
+        let mut drafts: Vec<Lac> = Vec::new();
         for _ in 0..cfg.candidates_per_round {
             let target = targets[rng.gen_range(0..targets.len())];
             let Some(lac) =

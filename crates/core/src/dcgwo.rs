@@ -316,7 +316,10 @@ pub fn optimize_session(
     let accurate = ctx.evaluate_delta(&base_delta);
     tracker.record_evaluations(1);
     let threads = par::resolve_threads(cfg.threads);
-    let mut population: Vec<Candidate> = Vec::with_capacity(cfg.population);
+    // Collections grow with the work actually done, never to a requested
+    // count up front: a huge `iterations` with a small iteration budget
+    // must not allocate for iterations that never run.
+    let mut population: Vec<Candidate> = Vec::new();
     let mut best = accurate.clone();
     population.push(accurate.clone());
     // Seed the rest of the population over the worker pool. Each member
@@ -380,7 +383,7 @@ pub fn optimize_session(
     }
 
     let mut stop = StopReason::Completed;
-    let mut history = Vec::with_capacity(cfg.iterations);
+    let mut history = Vec::new();
     for iter in 0..cfg.iterations {
         if let Some(reason) = tracker.stop_before_iteration(iter) {
             stop = reason;

@@ -220,13 +220,11 @@ impl DeltaEval {
     /// Returns [`NetlistError`] (and leaves the state untouched) if the
     /// substitution violates the topological id invariant.
     pub fn commit(&mut self, target: GateId, switch: SignalRef) -> Result<usize, NetlistError> {
-        // The timing engine applies the mutation to the netlist it is
-        // handed; give it a scratch clone so the simulator (which owns
-        // the real netlist and applies the same rewiring internally)
-        // stays the single source of truth.
-        let mut scratch = self.sim.netlist().clone();
-        self.sta.substitute(&mut scratch, target, switch)?;
+        // The simulator owns the netlist and applies the rewiring; the
+        // timing engine then re-times from that substituted netlist.
         let rewired = self.sim.substitute(target, switch)?;
+        self.sta
+            .after_substitute(self.sim.netlist(), target, switch);
         self.cascade_refcounts(target, switch);
         #[cfg(debug_assertions)]
         {

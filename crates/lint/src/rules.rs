@@ -73,7 +73,7 @@ impl Registry {
 
 /// `gate <name> (id <n>)` — the standard way findings name a gate.
 fn label(netlist: &Netlist, id: GateId) -> String {
-    format!("gate `{}` (id {})", netlist.gate(id).name(), id.index())
+    format!("gate `{}` (id {})", netlist.gate_name(id), id.index())
 }
 
 /// Topological id invariant: every fan-in id is strictly below its
@@ -204,8 +204,9 @@ impl Rule for MultiDrivenRule {
 
     fn check(&self, netlist: &Netlist, report: &mut LintReport) {
         let mut first_by_name: HashMap<&str, GateId> = HashMap::new();
-        for (id, gate) in netlist.iter() {
-            if let Some(&first) = first_by_name.get(gate.name()) {
+        for (id, _) in netlist.iter() {
+            let name = netlist.gate_name(id);
+            if let Some(&first) = first_by_name.get(name) {
                 report.push(
                     LintFinding::error(
                         RuleId::MultiDrivenNet,
@@ -219,7 +220,7 @@ impl Rule for MultiDrivenRule {
                     .at_gate(id),
                 );
             } else {
-                first_by_name.insert(gate.name(), id);
+                first_by_name.insert(name, id);
             }
         }
     }
@@ -285,7 +286,7 @@ impl Rule for PrimaryIoRule {
             if pi.index() >= netlist.gate_count() {
                 continue;
             }
-            let name = netlist.gate(pi).name();
+            let name = netlist.gate_name(pi);
             if seen_pi.insert(name, pi).is_some() {
                 report.push(
                     LintFinding::error(

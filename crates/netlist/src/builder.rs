@@ -98,7 +98,7 @@ impl Builder {
         self.counter += 1;
         let name = format!("u{}", self.counter);
         self.netlist
-            .add_gate(name, Cell::new(func, Drive::X1), fanins.to_vec())
+            .add_gate(name, Cell::new(func, Drive::X1), fanins)
             .expect("builder fanins are always older than the new gate")
             .into()
     }

@@ -11,7 +11,10 @@
 //!   the proprietary TSMC 28nm library used in the paper);
 //! * [`Netlist`] — circuits stored as **gate fan-in adjacency lists**
 //!   (§III-A of the paper) with a topological id invariant that makes
-//!   local approximate changes loop-free by construction;
+//!   local approximate changes loop-free by construction; gate rows are
+//!   flat `Copy` values and names live in shared tables, so copying a
+//!   netlist is a few `memcpy`s, and [`Fanouts`] derives the reverse
+//!   (fan-out) relation as one compressed array;
 //! * [`verilog`] — a structural Verilog reader/writer for the
 //!   post-synthesis `.v` files the flow consumes and produces.
 //!
@@ -43,10 +46,12 @@
 pub mod builder;
 pub mod cell;
 mod error;
+mod fanout;
 pub mod liberty;
 mod netlist;
 pub mod verilog;
 
 pub use cell::{Cell, CellFunc, Drive};
 pub use error::{Loc, NetlistError, ParseVerilogError};
+pub use fanout::Fanouts;
 pub use netlist::{Gate, GateId, Netlist, Output, SignalRef};

@@ -14,12 +14,40 @@
 //! mixture of fan-in rows from approximate variants of the same circuit is
 //! acyclic by construction, which is what makes circuit searching and
 //! circuit reproduction safe and fast.
+//!
+//! # Storage layout
+//!
+//! The structure is split by what a local approximate change can touch:
+//!
+//! * **Gate rows** — one [`Gate`] per id in a flat `Vec`. A gate is a
+//!   small `Copy` value, its cell plus a fixed `[SignalRef; 3]` fan-in
+//!   row (3 is the library's maximum arity; the cell's arity says how
+//!   many entries are used, and unused entries are always `Const0`).
+//!   Rows hold no heap data, so copying a netlist copies this array in
+//!   one `memcpy`.
+//! * **Names** — instance names, primary-output names and the module
+//!   name never change under a LAC, so they live in copy-on-write tables
+//!   shared through `Arc`: a clone bumps reference counts, and only
+//!   appending gates or [`Netlist::sweep_dangling`] (which compacts the
+//!   names with the gates) copies a table that is still shared.
+//! * **Primary inputs and outputs** — a list of input ids and one
+//!   driver per output, copied with the rows.
+//!
+//! Fan-out adjacency is not stored; [`Netlist::fanouts`] derives it as
+//! one compressed array ([`Fanouts`]) for the engines that walk cones
+//! forwards.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::cell::{Cell, CellFunc, Drive};
 use crate::error::NetlistError;
+use crate::fanout::Fanouts;
+
+/// Largest fan-in count of any library cell: the width of a [`Gate`]'s
+/// fan-in row.
+const MAX_ARITY: usize = 3;
 
 /// Identifier of a gate inside one [`Netlist`].
 ///
@@ -133,17 +161,24 @@ impl fmt::Display for SignalRef {
 }
 
 /// One gate instance: a cell plus its fan-in adjacency row.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A plain `Copy` value with no heap data; the instance name lives in the
+/// netlist's shared name table ([`Netlist::gate_name`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Gate {
-    name: String,
     cell: Cell,
-    fanins: Vec<SignalRef>,
+    /// The first `cell.arity()` entries are the pins; the rest are
+    /// `Const0`, so derived equality compares rows exactly.
+    fanins: [SignalRef; MAX_ARITY],
 }
 
 impl Gate {
-    /// Instance name (unique within the netlist).
-    pub fn name(&self) -> &str {
-        &self.name
+    /// A gate row; `fanins.len()` must equal the cell's arity (checked
+    /// by the callers, which report it as a typed error).
+    fn new(cell: Cell, fanins: &[SignalRef]) -> Gate {
+        let mut row = [SignalRef::Const0; MAX_ARITY];
+        row[..fanins.len()].copy_from_slice(fanins);
+        Gate { cell, fanins: row }
     }
 
     /// Library cell instantiated by this gate.
@@ -153,7 +188,7 @@ impl Gate {
 
     /// Fan-in adjacency row, one entry per input pin.
     pub fn fanins(&self) -> &[SignalRef] {
-        &self.fanins
+        &self.fanins[..self.cell.arity()]
     }
 
     /// `true` if this gate is a primary input.
@@ -193,10 +228,13 @@ pub struct Output {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
-    name: String,
+    name: Arc<str>,
     gates: Vec<Gate>,
+    /// Instance name of each gate, by id (shared between clones).
+    gate_names: Arc<Vec<String>>,
     inputs: Vec<GateId>,
-    output_names: Vec<String>,
+    /// Name of each primary output, by index (shared between clones).
+    output_names: Arc<Vec<String>>,
     outputs: Vec<Output>,
 }
 
@@ -204,10 +242,11 @@ impl Netlist {
     /// Creates an empty netlist with the given module name.
     pub fn new(name: impl Into<String>) -> Netlist {
         Netlist {
-            name: name.into(),
+            name: Arc::from(name.into()),
             gates: Vec::new(),
+            gate_names: Arc::default(),
             inputs: Vec::new(),
-            output_names: Vec::new(),
+            output_names: Arc::default(),
             outputs: Vec::new(),
         }
     }
@@ -219,17 +258,20 @@ impl Netlist {
 
     /// Renames the module.
     pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
+        self.name = Arc::from(name.into());
+    }
+
+    /// Appends a gate row and its name.
+    fn push_gate(&mut self, name: String, gate: Gate) -> GateId {
+        let id = GateId::new(self.gates.len());
+        self.gates.push(gate);
+        Arc::make_mut(&mut self.gate_names).push(name);
+        id
     }
 
     /// Adds a primary input and returns its gate id.
     pub fn add_input(&mut self, name: impl Into<String>) -> GateId {
-        let id = GateId::new(self.gates.len());
-        self.gates.push(Gate {
-            name: name.into(),
-            cell: Cell::input(),
-            fanins: Vec::new(),
-        });
+        let id = self.push_gate(name.into(), Gate::new(Cell::input(), &[]));
         self.inputs.push(id);
         id
     }
@@ -246,8 +288,9 @@ impl Netlist {
         &mut self,
         name: impl Into<String>,
         cell: Cell,
-        fanins: Vec<SignalRef>,
+        fanins: impl AsRef<[SignalRef]>,
     ) -> Result<GateId, NetlistError> {
+        let fanins = fanins.as_ref();
         let id = GateId::new(self.gates.len());
         if fanins.len() != cell.arity() {
             return Err(NetlistError::ArityMismatch {
@@ -257,7 +300,7 @@ impl Netlist {
                 actual: fanins.len(),
             });
         }
-        for &fanin in &fanins {
+        for &fanin in fanins {
             if let SignalRef::Gate(src) = fanin {
                 if src >= id {
                     return Err(NetlistError::FaninOrder {
@@ -267,17 +310,12 @@ impl Netlist {
                 }
             }
         }
-        self.gates.push(Gate {
-            name: name.into(),
-            cell,
-            fanins,
-        });
-        Ok(id)
+        Ok(self.push_gate(name.into(), Gate::new(cell, fanins)))
     }
 
     /// Declares a primary output driven by `driver`.
     pub fn add_output(&mut self, name: impl Into<String>, driver: SignalRef) {
-        self.output_names.push(name.into());
+        Arc::make_mut(&mut self.output_names).push(name.into());
         self.outputs.push(Output { driver });
     }
 
@@ -308,6 +346,16 @@ impl Netlist {
     /// Panics if `id` is out of bounds.
     pub fn gate(&self, id: GateId) -> &Gate {
         &self.gates[id.index()]
+    }
+
+    /// Instance name of a gate (unique within the netlist; a primary
+    /// input's name is its port name).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of bounds.
+    pub fn gate_name(&self, id: GateId) -> &str {
+        &self.gate_names[id.index()]
     }
 
     /// Iterates over `(id, gate)` pairs in topological (id) order.
@@ -396,7 +444,7 @@ impl Netlist {
     /// Returns [`NetlistError::ArityMismatch`] or
     /// [`NetlistError::FaninOrder`] under the same conditions as
     /// [`Netlist::add_gate`].
-    pub fn set_fanins(&mut self, gate: GateId, fanins: Vec<SignalRef>) -> Result<(), NetlistError> {
+    pub fn set_fanins(&mut self, gate: GateId, fanins: &[SignalRef]) -> Result<(), NetlistError> {
         let cell = self.gates[gate.index()].cell;
         if fanins.len() != cell.arity() {
             return Err(NetlistError::ArityMismatch {
@@ -406,14 +454,14 @@ impl Netlist {
                 actual: fanins.len(),
             });
         }
-        for &fanin in &fanins {
+        for &fanin in fanins {
             if let SignalRef::Gate(src) = fanin {
                 if src >= gate {
                     return Err(NetlistError::FaninOrder { gate, fanin: src });
                 }
             }
         }
-        self.gates[gate.index()].fanins = fanins;
+        self.gates[gate.index()] = Gate::new(cell, fanins);
         Ok(())
     }
 
@@ -442,7 +490,8 @@ impl Netlist {
         let old = SignalRef::Gate(target);
         let mut rewritten = 0;
         for gate in &mut self.gates {
-            for fanin in &mut gate.fanins {
+            let arity = gate.cell.arity();
+            for fanin in &mut gate.fanins[..arity] {
                 if *fanin == old {
                     *fanin = switch;
                     rewritten += 1;
@@ -474,7 +523,7 @@ impl Netlist {
     pub fn fanout_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.gates.len()];
         for gate in &self.gates {
-            for fanin in &gate.fanins {
+            for fanin in gate.fanins() {
                 if let SignalRef::Gate(src) = fanin {
                     counts[src.index()] += 1;
                 }
@@ -488,20 +537,13 @@ impl Netlist {
         counts
     }
 
-    /// For each gate, the list of gates reading its output.
+    /// For each gate, the gates reading its output: one entry per reader
+    /// pin, in ascending reader id, as one compressed array.
     ///
     /// PO fan-outs are not included; combine with
     /// [`Netlist::outputs`] when they matter.
-    pub fn fanout_lists(&self) -> Vec<Vec<GateId>> {
-        let mut lists = vec![Vec::new(); self.gates.len()];
-        for (id, gate) in self.iter() {
-            for fanin in gate.fanins() {
-                if let SignalRef::Gate(src) = fanin {
-                    lists[src.index()].push(id);
-                }
-            }
-        }
-        lists
+    pub fn fanouts(&self) -> Fanouts {
+        Fanouts::new(self)
     }
 
     /// Marks gates transitively reachable from any primary output
@@ -581,17 +623,19 @@ impl Netlist {
             c => c,
         };
         let mut gates = Vec::with_capacity(next);
-        for (i, gate) in self.gates.drain(..).enumerate() {
+        let mut names = Vec::with_capacity(next);
+        for (i, gate) in self.gates.iter().enumerate() {
             if live[i] {
-                let fanins = gate.fanins.iter().map(|&f| remap_sig(f)).collect();
-                gates.push(Gate {
-                    name: gate.name,
-                    cell: gate.cell,
-                    fanins,
-                });
+                let mut row = *gate;
+                for fanin in &mut row.fanins[..gate.cell.arity()] {
+                    *fanin = remap_sig(*fanin);
+                }
+                gates.push(row);
+                names.push(self.gate_names[i].clone());
             }
         }
         self.gates = gates;
+        self.gate_names = Arc::new(names);
         for pi in &mut self.inputs {
             *pi = remap[pi.index()].expect("primary input removed");
         }
@@ -626,11 +670,11 @@ impl Netlist {
 
     /// Gates in the transitive fan-out of `root` (excluding `root`).
     pub fn tfo_mask(&self, root: GateId) -> Vec<bool> {
-        let fanouts = self.fanout_lists();
+        let fanouts = self.fanouts();
         let mut mask = vec![false; self.gates.len()];
         let mut stack = vec![root];
         while let Some(id) = stack.pop() {
-            for &dst in &fanouts[id.index()] {
+            for &dst in fanouts.readers(id) {
                 if !mask[dst.index()] {
                     mask[dst.index()] = true;
                     stack.push(dst);
@@ -671,11 +715,11 @@ impl Netlist {
     ///
     /// # Errors
     ///
-    /// Returns the first violated invariant: pin-count mismatches
-    /// ([`NetlistError::ArityMismatch`]), fan-in id ordering
+    /// Returns the first violated invariant: fan-in id ordering
     /// ([`NetlistError::FaninOrder`]), inputs that are not `Input` cells
     /// or vice versa ([`NetlistError::MalformedInput`]), or dangling
-    /// output references ([`NetlistError::UnknownGate`]).
+    /// output references ([`NetlistError::UnknownGate`]). A row's pin
+    /// count is its cell's arity by construction.
     pub fn check_invariants(&self) -> Result<(), NetlistError> {
         let mut is_pi = vec![false; self.gates.len()];
         for &pi in &self.inputs {
@@ -687,14 +731,6 @@ impl Netlist {
         for (id, gate) in self.iter() {
             if gate.cell.is_input() != is_pi[id.index()] {
                 return Err(NetlistError::MalformedInput { gate: id });
-            }
-            if gate.fanins.len() != gate.cell.arity() {
-                return Err(NetlistError::ArityMismatch {
-                    gate: id,
-                    cell: gate.cell,
-                    expected: gate.cell.arity(),
-                    actual: gate.fanins.len(),
-                });
             }
             for fanin in gate.fanins() {
                 if let SignalRef::Gate(src) = fanin {
@@ -720,14 +756,19 @@ impl Netlist {
     /// Looks up a gate id by instance name (linear scan; intended for
     /// tests and tooling, not hot paths).
     pub fn find_gate(&self, name: &str) -> Option<GateId> {
-        self.iter()
-            .find(|(_, g)| g.name() == name)
-            .map(|(id, _)| id)
+        self.gate_names
+            .iter()
+            .position(|n| n == name)
+            .map(GateId::new)
     }
 
     /// Builds a map from instance name to gate id.
     pub fn name_map(&self) -> HashMap<&str, GateId> {
-        self.iter().map(|(id, g)| (g.name(), id)).collect()
+        self.gate_names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.as_str(), GateId::new(i)))
+            .collect()
     }
 
     /// Histogram of cell functions over live gates (useful for reports).
@@ -941,14 +982,74 @@ mod tests {
     fn fanout_counts_match_lists() {
         let n = fig3_netlist();
         let counts = n.fanout_counts();
-        let lists = n.fanout_lists();
+        let fanouts = n.fanouts();
         for (id, _) in n.iter() {
             let po_fanout = n
                 .outputs()
                 .filter(|(_, d)| *d == SignalRef::Gate(id))
                 .count();
-            assert_eq!(counts[id.index()], lists[id.index()].len() + po_fanout);
+            assert_eq!(counts[id.index()], fanouts.readers(id).len() + po_fanout);
         }
+    }
+
+    #[test]
+    fn gate_rows_stay_small_plain_values() {
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<Gate>();
+        // A heap field (a `String`, a `Vec`) would make `Gate` non-`Copy`
+        // and at least 24 bytes bigger; keep a row within half a line.
+        assert!(std::mem::size_of::<Gate>() <= 32);
+        // Every library cell's pins fit the inline row.
+        assert!(crate::cell::ALL_FUNCS
+            .iter()
+            .all(|f| f.arity() <= MAX_ARITY));
+    }
+
+    #[test]
+    fn clones_share_name_tables() {
+        let n = fig3_netlist();
+        let copy = n.clone();
+        assert!(Arc::ptr_eq(&n.gate_names, &copy.gate_names));
+        assert!(Arc::ptr_eq(&n.output_names, &copy.output_names));
+        assert_eq!(copy, n);
+    }
+
+    #[test]
+    fn sweep_compacts_names_with_rows() {
+        let mut n = fig3_netlist();
+        let g8 = n.find_gate("u8").expect("u8");
+        n.substitute(g8, SignalRef::Const0).expect("legal LAC");
+        let before: Vec<(String, Gate)> = n
+            .iter()
+            .filter(|(id, _)| n.live_mask()[id.index()])
+            .map(|(id, g)| (n.gate_name(id).to_owned(), *g))
+            .collect();
+        let shared = n.clone();
+        n.sweep_dangling();
+        assert_eq!(n.gate_count(), before.len());
+        for (i, (name, gate)) in before.iter().enumerate() {
+            let id = GateId::new(i);
+            assert_eq!(n.gate_name(id), name);
+            assert_eq!(n.gate(id).cell(), gate.cell());
+        }
+        assert!(
+            shared.find_gate("u8").is_some(),
+            "the clone keeps its names"
+        );
+    }
+
+    #[test]
+    fn set_fanins_rewrites_the_row() {
+        let mut n = fig3_netlist();
+        let g11 = n.find_gate("u11").expect("u11");
+        n.set_fanins(g11, &[SignalRef::Const1, GateId::new(0).into()])
+            .expect("legal row");
+        assert_eq!(
+            n.gate(g11).fanins(),
+            &[SignalRef::Const1, SignalRef::Gate(GateId::new(0))]
+        );
+        let err = n.set_fanins(g11, &[SignalRef::Const1]).unwrap_err();
+        assert!(matches!(err, NetlistError::ArityMismatch { .. }));
     }
 
     #[test]

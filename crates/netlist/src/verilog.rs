@@ -54,14 +54,14 @@ pub fn to_verilog(netlist: &Netlist) -> String {
     let mut out = String::new();
     let mut ports: Vec<String> = Vec::new();
     for &pi in netlist.inputs() {
-        ports.push(netlist.gate(pi).name().to_owned());
+        ports.push(netlist.gate_name(pi).to_owned());
     }
     for (name, _) in netlist.outputs() {
         ports.push(name.to_owned());
     }
     let _ = writeln!(out, "module {} ({});", netlist.name(), ports.join(", "));
     for &pi in netlist.inputs() {
-        let _ = writeln!(out, "  input {};", netlist.gate(pi).name());
+        let _ = writeln!(out, "  input {};", netlist.gate_name(pi));
     }
     for (name, _) in netlist.outputs() {
         let _ = writeln!(out, "  output {};", name);
@@ -69,9 +69,8 @@ pub fn to_verilog(netlist: &Netlist) -> String {
 
     // Net name for each gate output.
     let net_name = |id: GateId| -> String {
-        let gate = netlist.gate(id);
-        if gate.is_input() {
-            gate.name().to_owned()
+        if netlist.gate(id).is_input() {
+            netlist.gate_name(id).to_owned()
         } else {
             format!("w{}", id.index())
         }
@@ -106,7 +105,7 @@ pub fn to_verilog(netlist: &Netlist) -> String {
             out,
             "  {} {} ( {} );",
             gate.cell().lib_name(),
-            gate.name(),
+            netlist.gate_name(id),
             conns.join(", ")
         );
     }

@@ -30,6 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use tdals_bench::json::Json;
+use tdals_core::api::FlowEvent;
 
 use crate::client::{check_reply, ClientError};
 use crate::job::{session_record_fields, u64_to_json, FlowJob};
@@ -112,11 +113,14 @@ enum SessionEntry {
     },
     /// Finished and reaped: the handle (and the outcome's netlists) are
     /// dropped, only the wire-sized record and undelivered events stay.
+    /// Events stay typed until a client asks for them: a finished
+    /// session nobody polls keeps ~100 bytes per event instead of a JSON
+    /// tree, which is what a daemon's memory grows by per job served.
     Done {
         tenant: Option<String>,
         status: SessionStatus,
         record: Json,
-        pending_events: Vec<Json>,
+        pending_events: Vec<FlowEvent>,
     },
 }
 
@@ -253,7 +257,7 @@ impl Daemon {
                 .try_result()
                 .expect("entry was collected because its result is ready");
             let record = Json::Obj(session_record_fields(&job, &result));
-            let pending_events = handle.poll_events().iter().map(event_to_json).collect();
+            let pending_events = handle.poll_events();
             registry.sessions.insert(
                 id,
                 SessionEntry::Done {
@@ -392,10 +396,7 @@ impl Daemon {
             return unknown_session(id);
         };
         let (events, done) = match entry {
-            SessionEntry::Live { handle, .. } => (
-                handle.poll_events().iter().map(event_to_json).collect(),
-                false,
-            ),
+            SessionEntry::Live { handle, .. } => (handle.poll_events(), false),
             SessionEntry::Done { pending_events, .. } => (std::mem::take(pending_events), true),
         };
         Json::Obj(vec![
@@ -403,7 +404,10 @@ impl Daemon {
             ok_field("events"),
             ("session".into(), u64_to_json(id)),
             ("done".into(), Json::Bool(done)),
-            ("events".into(), Json::Arr(events)),
+            (
+                "events".into(),
+                Json::Arr(events.iter().map(event_to_json).collect()),
+            ),
         ])
     }
 

@@ -23,7 +23,7 @@ use tdals_core::api::{Budget, Flow, FlowError, FlowOutcome, Observer};
 use tdals_core::OptimizerConfig;
 use tdals_sim::ErrorMetric;
 
-use crate::scheduler::SessionError;
+use crate::scheduler::{ServerError, SessionError};
 
 /// The circuit a job runs on.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,6 +66,17 @@ impl JobBudget {
         budget
     }
 }
+
+/// Largest population a job may ask for. Every member holds its own
+/// netlist copy and, while it is scored, its own simulation and timing
+/// state, so the limit bounds what one session can make a process
+/// allocate. It leaves ~30× headroom over the paper's population of 30.
+pub const MAX_POPULATION: usize = 1024;
+
+/// Largest Monte-Carlo vector count a job may ask for. Stimulus and
+/// simulated words grow linearly with it (one bit per vector per input
+/// and per gate); the limit is ~10× the paper's 1e5 vectors.
+pub const MAX_VECTORS: usize = 1 << 20;
 
 /// One tenant's complete request: circuit + method + bound + knobs +
 /// priority + budget. Construct with [`FlowJob::benchmark`] /
@@ -203,6 +214,34 @@ impl FlowJob {
     pub fn with_budget(mut self, budget: JobBudget) -> FlowJob {
         self.budget = budget;
         self
+    }
+
+    /// Checks the knobs that do not depend on where the job runs. The
+    /// one rule every front end applies: [`Scheduler::validate`]
+    /// (wire frames and manifests, through the daemon) and `tdals flow`
+    /// both call it before anything is allocated for the job.
+    ///
+    /// # Errors
+    ///
+    /// [`ServerError::AboveLimit`] for a population above
+    /// [`MAX_POPULATION`] or a vector count above [`MAX_VECTORS`].
+    ///
+    /// [`Scheduler::validate`]: crate::Scheduler::validate
+    pub fn validate(&self) -> Result<(), ServerError> {
+        for (knob, requested, limit) in [
+            ("population", self.population, MAX_POPULATION),
+            ("vectors", self.vectors, MAX_VECTORS),
+        ] {
+            if requested > limit {
+                return Err(ServerError::AboveLimit {
+                    job: self.name.clone(),
+                    knob,
+                    requested,
+                    limit,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Runs this job on the calling thread at `threads` workers with an

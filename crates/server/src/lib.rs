@@ -47,6 +47,7 @@ pub use daemon::{connect, connect_retry, ConnectError, Daemon, DaemonConfig, Lis
 pub use job::{
     check_bound, parse_worker_count, results_document, results_document_from_records,
     session_record, session_record_fields, FlowJob, JobBudget, JobSource, Manifest, ManifestError,
+    MAX_POPULATION, MAX_VECTORS,
 };
 pub use protocol::{
     as_error, error_frame, event_from_json, event_to_json, read_frame, write_frame, Connection,

@@ -45,6 +45,20 @@ pub enum ServerError {
         /// Name of the rejected job.
         job: String,
     },
+    /// A job asked for more of a knob that sizes memory than a session
+    /// may allocate: `population` above
+    /// [`MAX_POPULATION`](crate::MAX_POPULATION) or `vectors` above
+    /// [`MAX_VECTORS`](crate::MAX_VECTORS).
+    AboveLimit {
+        /// Name of the rejected job.
+        job: String,
+        /// The knob, as spelled in manifests and wire frames.
+        knob: &'static str,
+        /// What the job asked for.
+        requested: usize,
+        /// The largest accepted value.
+        limit: usize,
+    },
     /// A job requested more per-session threads than any lease can
     /// grant (the per-session cap bounded by the pool total).
     ThreadsExceedLease {
@@ -74,6 +88,15 @@ impl std::fmt::Display for ServerError {
             ServerError::ZeroThreads { job } => {
                 write!(f, "job `{job}`: 0 worker threads cannot evaluate anything")
             }
+            ServerError::AboveLimit {
+                job,
+                knob,
+                requested,
+                limit,
+            } => write!(
+                f,
+                "job `{job}`: {knob} {requested} is above the limit of {limit}"
+            ),
             ServerError::ThreadsExceedLease {
                 job,
                 requested,
@@ -391,6 +414,7 @@ impl Scheduler {
     ///
     /// The same typed [`ServerError`]s [`Scheduler::submit`] reports.
     pub fn validate(&self, job: &FlowJob) -> Result<(), ServerError> {
+        job.validate()?;
         match job.threads {
             Some(0) => Err(ServerError::ZeroThreads {
                 job: job.name.clone(),

@@ -62,7 +62,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use tdals_netlist::{GateId, Netlist, NetlistError, SignalRef};
+use tdals_netlist::{Fanouts, GateId, Netlist, NetlistError, SignalRef};
 
 use crate::block::SimdWidth;
 use crate::engine::{simulate, simulate_with_width, SimResult};
@@ -100,9 +100,9 @@ pub struct DeltaSim {
     word_count: usize,
     vector_count: usize,
     tail_mask: u64,
-    /// `fanouts[g]` = gates reading `g`'s output (kept current across
-    /// commits; PO readers are resolved through the netlist).
-    fanouts: Vec<Vec<GateId>>,
+    /// Gates reading each gate's output (kept current across commits;
+    /// PO readers are resolved through the netlist).
+    fanouts: Fanouts,
     /// Commits since the last full re-simulation.
     commits_since_rebase: usize,
     /// Re-base (full resim + fan-out rebuild) period; 0 disables.
@@ -145,7 +145,7 @@ impl DeltaSim {
             patterns.vector_count(),
             "simulation result must cover the stimulus"
         );
-        let fanouts = netlist.fanout_lists();
+        let fanouts = netlist.fanouts();
         DeltaSim {
             word_count: sim.word_count,
             vector_count: sim.vector_count,
@@ -293,7 +293,7 @@ impl DeltaSim {
             let rewritten = self.netlist.substitute(target, switch)?;
             let sim = simulate_with_width(&self.netlist, &self.patterns, self.simd);
             self.values = sim.values;
-            self.fanouts = self.netlist.fanout_lists();
+            self.fanouts = self.netlist.fanouts();
             self.commits_since_rebase = 0;
             self.full_resims += 1;
             tdals_obs::metrics().delta_rebases.incr();
@@ -325,16 +325,7 @@ impl DeltaSim {
         // Fan-out maintenance: every gate reader of `target` now reads
         // `switch` instead. (PO readers live in the netlist's output
         // table and need no bookkeeping here.)
-        let readers = std::mem::take(&mut self.fanouts[target.index()]);
-        if let SignalRef::Gate(s) = switch {
-            let list = &mut self.fanouts[s.index()];
-            for r in readers {
-                if !list.contains(&r) {
-                    list.push(r);
-                }
-            }
-            list.sort_unstable();
-        }
+        self.fanouts.substitute(target, switch);
         Ok(rewritten)
     }
 
@@ -378,7 +369,7 @@ impl DeltaSim {
         // all of its fan-ins have settled.
         let mut pending = vec![false; n];
         let mut lo = n;
-        for &reader in &self.fanouts[target.index()] {
+        for &reader in self.fanouts.readers(target) {
             pending[reader.index()] = true;
             lo = lo.min(reader.index());
         }
@@ -458,7 +449,7 @@ impl DeltaSim {
                 stats.changed += 1;
                 slot[i] = u32::try_from(words.len() / wc).expect("overlay fits u32");
                 words.extend_from_slice(&scratch);
-                for &reader in &self.fanouts[i] {
+                for &reader in self.fanouts.readers(id) {
                     pending[reader.index()] = true;
                 }
             } else {

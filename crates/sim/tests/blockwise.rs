@@ -70,7 +70,7 @@ fn assert_bit_identical(scalar: &SimResult, wide: &SimResult, n: &Netlist, label
             scalar.gate_words(id),
             wide.gate_words(id),
             "{label}: gate {} diverged",
-            n.gate(id).name()
+            n.gate_name(id)
         );
     }
     for po in 0..n.output_count() {

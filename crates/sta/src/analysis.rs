@@ -429,7 +429,7 @@ mod tests {
         // g3 depends on g2, so y2 must be the critical PO.
         assert_eq!(r.critical_po(), 1);
         let path = critical_path(&n, &r);
-        let names: Vec<&str> = path.iter().map(|&g| n.gate(g).name()).collect();
+        let names: Vec<&str> = path.iter().map(|&g| n.gate_name(g)).collect();
         assert_eq!(names, ["g1", "g2", "g3"]);
     }
 

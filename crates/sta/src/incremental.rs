@@ -33,7 +33,7 @@
 //! ```
 
 use tdals_netlist::cell::Drive;
-use tdals_netlist::{GateId, Netlist, NetlistError, SignalRef};
+use tdals_netlist::{Fanouts, GateId, Netlist, NetlistError, SignalRef};
 
 use crate::analysis::{full_pass, TimingConfig};
 
@@ -65,7 +65,8 @@ impl TimingDelta {
 /// Incrementally-maintained timing state for one netlist.
 ///
 /// The engine must observe every mutation: apply substitutions through
-/// [`IncrementalSta::substitute`] and drive changes through
+/// [`IncrementalSta::substitute`] (or report one already applied with
+/// [`IncrementalSta::after_substitute`]) and drive changes through
 /// [`IncrementalSta::set_drive`]. Mutating the netlist behind the
 /// engine's back leaves it stale (re-create it in that case).
 ///
@@ -81,7 +82,7 @@ pub struct IncrementalSta {
     depth: Vec<u32>,
     load: Vec<f64>,
     /// Gate fan-out adjacency: one entry per reader pin, in id order.
-    fanouts: Vec<Vec<GateId>>,
+    fanouts: Fanouts,
     /// Primary outputs each gate drives (their loads follow the pins').
     po_refs: Vec<u32>,
     /// Scratch: per-gate pending flags of the propagation scan.
@@ -125,7 +126,7 @@ impl IncrementalSta {
             arrival,
             depth,
             load,
-            fanouts: netlist.fanout_lists(),
+            fanouts: netlist.fanouts(),
             po_refs,
             pending: vec![false; n],
             undo: UndoLog::default(),
@@ -135,7 +136,7 @@ impl IncrementalSta {
     /// Re-sums a gate's output load from scratch, in `analyze`'s order.
     fn refresh_load(&mut self, netlist: &Netlist, id: GateId) {
         let mut load = 0.0f64;
-        for &reader in &self.fanouts[id.index()] {
+        for &reader in self.fanouts.readers(id) {
             load += netlist.gate(reader).cell().input_cap() + self.cfg.wire_cap_per_fanout;
         }
         for _ in 0..self.po_refs[id.index()] {
@@ -193,7 +194,7 @@ impl IncrementalSta {
             if std::mem::take(&mut self.pending[i]) {
                 let id = GateId::new(i);
                 if !netlist.gate(id).is_input() && self.refresh_gate(netlist, id) {
-                    for &reader in &self.fanouts[i] {
+                    for &reader in self.fanouts.readers(id) {
                         self.pending[reader.index()] = true;
                         hi = hi.max(reader.index());
                     }
@@ -220,15 +221,29 @@ impl IncrementalSta {
         switch: SignalRef,
     ) -> Result<usize, NetlistError> {
         let rewritten = netlist.substitute(target, switch)?;
+        self.after_substitute(netlist, target, switch);
+        Ok(rewritten)
+    }
+
+    /// The repair half of [`IncrementalSta::substitute`], for a netlist
+    /// that already had `target := switch` applied (by
+    /// [`Netlist::substitute`] or an engine that owns the netlist):
+    /// moves the target's readers and PO references to the switch and
+    /// re-times everything affected. The state ends bit-identical to a
+    /// from-scratch analysis of `netlist`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `switch` is a gate with id ≥ `target`, which no
+    /// successful [`Netlist::substitute`] can have applied.
+    pub fn after_substitute(&mut self, netlist: &Netlist, target: GateId, switch: SignalRef) {
         // Every reader pin and PO reference moves from the target to
         // the switch.
-        let readers = std::mem::take(&mut self.fanouts[target.index()]);
+        let readers = self.fanouts.readers(target).to_vec();
+        self.fanouts.substitute(target, switch);
         let po_moved = std::mem::take(&mut self.po_refs[target.index()]);
         let mut seeds: Vec<GateId> = Vec::with_capacity(readers.len() + 2);
         if let SignalRef::Gate(sw) = switch {
-            let list = &mut self.fanouts[sw.index()];
-            list.extend(readers.iter().copied());
-            list.sort_unstable();
             self.po_refs[sw.index()] += po_moved;
             self.refresh_load(netlist, sw);
             seeds.push(sw); // its own delay changed with the new load
@@ -241,7 +256,6 @@ impl IncrementalSta {
         self.propagate(netlist, &seeds);
         // A substitution is not revertible through the drive log.
         self.undo.clear();
-        Ok(rewritten)
     }
 
     /// Changes a gate's drive strength through the engine, repairing the
@@ -341,7 +355,7 @@ impl IncrementalSta {
                 "switch {s} must precede target {target} in id order"
             );
         }
-        let readers = &self.fanouts[target.index()];
+        let readers = self.fanouts.readers(target);
         let po_reader_count = netlist
             .outputs()
             .filter(|(_, d)| *d == SignalRef::Gate(target))
@@ -418,7 +432,7 @@ impl IncrementalSta {
                 ovl_arrival[i] = arrival;
                 ovl_depth[i] = depth;
                 retimed += 1;
-                for &reader in &self.fanouts[i] {
+                for &reader in self.fanouts.readers(id) {
                     pending[reader.index()] = true;
                 }
             }

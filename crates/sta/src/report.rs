@@ -82,14 +82,13 @@ pub fn timing_report_text(
         let path = critical_path_to_po(netlist, report, po);
         let shown = path.len().min(options.max_gates_per_path);
         for &gate in path.iter().rev().take(shown) {
-            let g = netlist.gate(gate);
             let _ = writeln!(
                 out,
                 "    {:>10.2}  {:>8.2}  {:<10}  {}",
                 report.arrival(gate),
                 report.load(gate),
-                g.cell().lib_name(),
-                g.name()
+                netlist.gate(gate).cell().lib_name(),
+                netlist.gate_name(gate)
             );
         }
         if path.len() > shown {

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let target = path[path.len() / 2];
     println!(
         "what-if: substitute critical-path gate `{}` with 1'b0",
-        netlist.gate(target).name()
+        netlist.gate_name(target)
     );
     let mut engine = IncrementalSta::new(&netlist, cfg);
     let before = engine.critical_path_delay(&netlist);

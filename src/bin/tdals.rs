@@ -313,6 +313,8 @@ fn cmd_flow(opts: &HashMap<String, String>) -> Result<(), CliError> {
         .with_seed(parse_num(opts, "seed", base.seed)?)
         .with_area_con(area_con);
 
+    job.validate().map_err(|e| CliError::run(e.to_string()))?;
+
     let label = method.label();
     let mut obs = FnObserver(move |ev: &FlowEvent| {
         if let FlowEvent::FlowStarted {
@@ -798,13 +800,12 @@ fn cmd_report(opts: &HashMap<String, String>) -> Result<(), CliError> {
     );
     let path = critical_path(&netlist, &report);
     println!("  critical path ({} gates):", path.len());
-    for gate in path.iter().rev().take(12) {
-        let g = netlist.gate(*gate);
+    for &gate in path.iter().rev().take(12) {
         println!(
             "    {:>10.2} ps  {:<10} {}",
-            report.arrival(*gate),
-            g.cell().lib_name(),
-            g.name()
+            report.arrival(gate),
+            netlist.gate(gate).cell().lib_name(),
+            netlist.gate_name(gate)
         );
     }
     if path.len() > 12 {

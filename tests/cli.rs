@@ -150,6 +150,29 @@ fn invalid_bounds_are_rejected_without_usage_dump() {
 }
 
 #[test]
+fn population_above_the_limit_is_rejected_before_seeding() {
+    let huge = (tdals::server::MAX_POPULATION + 1).to_string();
+    let out = tdals()
+        .args([
+            "flow",
+            "--input",
+            "bench:Max16",
+            "--metric",
+            "nmed",
+            "--bound",
+            "0.01",
+            "--population",
+            &huge,
+        ])
+        .output()
+        .expect("run tdals flow");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("above the limit"), "{err}");
+    assert!(!err.contains("usage:"), "no usage dump: {err}");
+}
+
+#[test]
 fn unknown_benchmark_is_a_proper_error() {
     let out = tdals()
         .args(["report", "--input", "bench:NoSuchCircuit"])

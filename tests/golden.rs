@@ -7,6 +7,10 @@
 //! sizer were rewritten for speed; those rewrites promise identical
 //! decisions, so any drift here is a behaviour change, not noise.
 //!
+//! The GWO, greedy and Verilog round-trip cases were recorded before
+//! the netlist moved to `Copy` gates, shared name tables and CSR
+//! fan-outs; that change promises byte-identical output too.
+//!
 //! Every flow case runs at one and at two worker threads against the
 //! same digest (results are width-invariant). A separate case drives
 //! the sizer directly on a budget where most trials are rejected, so
@@ -144,6 +148,85 @@ fn vaacs_flows_match_golden() {
             "14fd10cdb7338133 40a27cccccccccc8 3f51e0084011e004 408fced6872b019a | 1 40a2abd70a3d70a0 40a2abd70a3d70a0 40a27cccccccccc8 408fced6872b019a 3",
         ),
     ]);
+}
+
+#[test]
+fn gwo_flows_match_golden() {
+    check_flows(&[
+        (
+            Benchmark::C880,
+            Method::SingleChaseGwo,
+            3,
+            "d5f18731545e6313 4095c2ae147ae148 3f90000000000000 4071c45d2f1a9fca | 1 40960acccccccccc 40960acccccccccc 4095c2ae147ae148 4071c45d2f1a9fca 3",
+        ),
+        (
+            Benchmark::C6288,
+            Method::SingleChaseGwo,
+            5,
+            "ced34d4e56fd4221 40a2699999999995 3f26ac05c016ac03 408fac20c49ba574 | 8 40a2d370a3d70a39 40a2bdd70a3d70a0 40a2699999999995 408fac20c49ba574 14",
+        ),
+    ]);
+}
+
+#[test]
+fn greedy_flows_match_golden() {
+    check_flows(&[
+        (
+            Benchmark::C880,
+            Method::VecbeeSasimi,
+            3,
+            "9c804a362f84c421 4095d770a3d70a3c 3f9a000000000000 4071c2cbc6a7efaa | 1 4096825c28f5c28e 40966e3333333332 4095d770a3d70a3c 4071c2cbc6a7efaa 7",
+        ),
+        (
+            Benchmark::C6288,
+            Method::VecbeeSasimi,
+            5,
+            "573817c5ecbf0dc6 40a2268f5c28f5be 3f5781dc731781dc 408dbe05a1cac025 | 59 40a2cd9999999995 40a23f0a3d70a3d3 40a2268f5c28f5be 408dbe05a1cac025 3",
+        ),
+    ]);
+}
+
+/// Write, parse, sweep, write again: pins how instance and port names
+/// travel through the Verilog reader and the dangling-gate sweep's
+/// compaction. Every 7th logic gate is tied to a constant first, so the
+/// sweep has whole dead cones to remove.
+fn round_trip_digest(bench: Benchmark) -> String {
+    let mut n = bench.build();
+    let targets: Vec<_> = n
+        .iter()
+        .filter(|(_, g)| !g.is_input())
+        .map(|(id, _)| id)
+        .step_by(7)
+        .collect();
+    for (i, &id) in targets.iter().enumerate() {
+        n.substitute(id, tdals::netlist::SignalRef::constant(i % 2 == 1))
+            .expect("a constant switch is always legal");
+    }
+    let first = verilog::to_verilog(&n);
+    let mut parsed = verilog::parse(&first).expect("own output parses");
+    let removed = parsed.sweep_dangling();
+    let second = verilog::to_verilog(&parsed);
+    format!(
+        "{:016x} {} {:016x}",
+        fnv1a(first.as_bytes()),
+        removed,
+        fnv1a(second.as_bytes())
+    )
+}
+
+#[test]
+fn verilog_round_trip_with_sweep_matches_golden() {
+    let got: Vec<String> = [Benchmark::C880, Benchmark::C6288]
+        .into_iter()
+        .map(round_trip_digest)
+        .collect();
+    assert_eq!(
+        got,
+        [
+            "39b9e6c0a6388130 90 be249caed99555e9",
+            "714271ce170aaacf 168 aace358d45f8031f"
+        ]
+    );
 }
 
 fn sizing_digest(r: &SizingResult, netlist: &tdals::netlist::Netlist) -> String {

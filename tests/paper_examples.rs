@@ -110,11 +110,11 @@ fn fig5_circuit_reproduction_builds_cr1() {
     // Circuit cp1: the Fig. 3 netlist with PO3 re-pointed through
     // gate 7 (15:(7)); gates 12 and 10 dangling.
     let mut cp1 = fig3();
-    cp1.set_fanins(GateId::new(15 - 1), vec![pg(7)])
+    cp1.set_fanins(GateId::new(15 - 1), &[pg(7)])
         .expect("15:(7)");
     // Circuit cp2: 11:(5,2) — gate 8 dangling.
     let mut cp2 = fig3();
-    cp2.set_fanins(GateId::new(11 - 1), vec![pg(5), pg(2)])
+    cp2.set_fanins(GateId::new(11 - 1), &[pg(5), pg(2)])
         .expect("11:(5,2)");
 
     // Levels from the figure: cp1 = (9.6, 10.2, 14.0),

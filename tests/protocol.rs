@@ -877,6 +877,69 @@ fn socket_deeply_nested_frame_is_a_bad_frame_not_an_abort() {
 }
 
 #[test]
+fn socket_huge_requested_counts_neither_allocate_nor_abort() {
+    // 2^53 is the largest count a wire number carries exactly. Sizing an
+    // allocation from it aborts the whole daemon; the iteration count
+    // must only bound the loop, and a population or vector count that
+    // size is refused.
+    const HUGE: &str = "9007199254740992";
+    let (spec, server) = start_daemon(DaemonConfig::new(1));
+    let stream = TcpStream::connect(&spec).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut exchange = |frame: String| {
+        writer
+            .write_all(format!("{frame}\n").as_bytes())
+            .expect("write");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read");
+        Json::parse(line.trim_end()).expect("reply parses")
+    };
+    let job = |knobs: &str| {
+        format!(
+            r#"{{"schema":1,"verb":"submit","job":{{"circuit":"bench:Int2float","method":"dcgwo","metric":"er","bound":0.05,{knobs}}}}}"#
+        )
+    };
+
+    let reply = exchange(job(&format!(
+        r#""population":4,"vectors":256,"iterations":{HUGE},"max_iterations":2"#
+    )));
+    assert_eq!(
+        reply.get("ok").and_then(Json::as_str),
+        Some("submitted"),
+        "{reply}"
+    );
+    let session = session_of(&reply);
+    let result = exchange(format!(
+        r#"{{"schema":1,"verb":"result","session":{session},"wait":true}}"#
+    ));
+    let record = result.get("record").expect("finished record");
+    assert_eq!(
+        record.get("stop").and_then(Json::as_str),
+        Some("iteration limit"),
+        "{result}"
+    );
+    assert_eq!(record.get("iterations").and_then(Json::as_f64), Some(2.0));
+
+    for knob in ["population", "vectors"] {
+        let reply = exchange(job(&format!(r#""{knob}":{HUGE}"#)));
+        let (code, message) = as_error(&reply).expect("an error reply");
+        assert_eq!(code, "rejected", "{reply}");
+        assert!(message.contains(knob), "{message}");
+    }
+
+    let reply = exchange(Request::Health.to_json().compact().to_string());
+    assert_eq!(reply.get("ok").and_then(Json::as_str), Some("health"));
+    drop((writer, reader));
+
+    let mut conn = client(&spec);
+    let bye = call(&mut conn, &Request::Shutdown);
+    assert_eq!(code_of(&bye), None);
+    drop(conn);
+    server.join().expect("serve thread exits cleanly");
+}
+
+#[test]
 fn socket_bad_frames_survive_oversized_frames_close() {
     let (spec, server) = start_daemon(DaemonConfig::new(1).with_max_frame_len(256));
 
